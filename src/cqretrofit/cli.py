@@ -87,6 +87,7 @@ def load_run_config(path: Union[str, Path]) -> RunConfig:
     cfg.cache_dir = raw.get("cache_dir")
     cfg.parallelism = int(raw.get("parallelism", cfg.parallelism))
     cfg.seed = int(raw.get("seed", cfg.seed))
+    cfg.template_file = raw.get("template_file")
     return cfg
 
 

@@ -144,19 +144,46 @@ def normalize_question(text: str) -> str:
     return t
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+def _match_masks(s: str) -> dict[str, int]:
+    """Map each character of ``s`` to the bitmask of its positions."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for ch in s:
+        masks[ch] = masks.get(ch, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _levenshtein(a: str, b: str, a_masks: Optional[dict[str, int]] = None) -> int:
+    """Edit distance by Myers' bit-parallel algorithm (JACM 1999), in
+    Hyyrö's form for whole-string distance. One column of the DP matrix
+    over ``a`` is held as vertical +1/-1 delta bit vectors in Python ints,
+    so ``a`` may be any length. ``a_masks`` is ``_match_masks(a)``, for
+    callers that compare one ``a`` with many strings."""
+    m = len(a)
+    if m == 0:
+        return len(b)
+    if a_masks is None:
+        a_masks = _match_masks(a)
+    get = a_masks.get
+    full = (1 << m) - 1  # ``full ^ x`` is the m-bit complement of x
+    last = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for ch in b:
+        eq = get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (full ^ (xh | pv))
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of the matrix is 0, 1, 2, ...: its horizontal delta is +1.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | (full ^ (xv | ph))) & full
+        mv = ph & xv
+    return score
 
 
 def _token_sorted(text: str) -> str:
@@ -207,17 +234,26 @@ def _default_config() -> FiltrationConfig:
     return _DEFAULT_CONFIG
 
 
-def _dedup_pools(
-    candidates: Sequence[CandidateCQ], cfg: FiltrationConfig
-) -> dict[tuple, list[str]]:
-    pools: dict[tuple, list[str]] = {}
-    for c in candidates:
-        pools.setdefault(_pool_key(c, cfg), [])
-    return pools
-
-
 def _pool_key(c: CandidateCQ, cfg: FiltrationConfig) -> tuple:
     return () if cfg.global_dedup else (c.template_id, c.provider_id)
+
+
+def _near_kept(
+    s: str, kept: Sequence[tuple[str, dict[str, int]]], threshold: int
+) -> bool:
+    """True when ``s`` is within ``threshold`` of a kept token-sorted
+    form, by the same ratio test as :func:`token_sort_ratio`."""
+    n = len(s)
+    for t, masks in kept:
+        m = len(t)
+        longest = max(n, m)
+        # The length gap is a lower bound on the distance and the ratio
+        # falls as the distance grows, so this skips no match.
+        if 100.0 * (1.0 - abs(n - m) / longest) < threshold:
+            continue
+        if 100.0 * (1.0 - _levenshtein(t, s, masks) / longest) >= threshold:
+            return True
+    return False
 
 
 def dedup(
@@ -228,23 +264,28 @@ def dedup(
     Scans in order; the first occurrence stays as the kept
     representative and later questions are compared against kept
     representatives only. By default questions are pooled per
-    (template, provider); ``cfg.global_dedup`` uses one pool.
+    (template, provider); ``cfg.global_dedup`` uses one pool. The
+    decisions are those of :func:`is_duplicate` on normalized questions.
     """
     cfg = cfg or _default_config()
-    pools = _dedup_pools(candidates, cfg)
+    threshold = cfg.dedup_ratio_threshold
+    # Per pool: the set of kept token-sorted forms (an identical form has
+    # ratio 100) and each kept form with its match masks.
+    pools: dict[tuple, tuple[set[str], list[tuple[str, dict[str, int]]]]] = {}
     out: list[CandidateCQ] = []
     for c in candidates:
         if not c.kept:
             out.append(c)
             continue
-        normalized = normalize_question(c.text)
-        pool = pools[_pool_key(c, cfg)]
-        if any(
-            is_duplicate(normalized, seen, cfg.dedup_ratio_threshold) for seen in pool
-        ):
+        # _token_sorted lowercases and splits on non-alphanumerics, so the
+        # raw text and its normalized form give the same sorted form.
+        s = _token_sorted(c.text)
+        seen, kept = pools.setdefault(_pool_key(c, cfg), (set(), []))
+        if s in seen or _near_kept(s, kept, threshold):
             out.append(c.removed(RemovalReason.DUPLICATE))
         else:
-            pool.append(normalized)
+            seen.add(s)
+            kept.append((s, _match_masks(s)))
             out.append(c)
     return out
 
@@ -269,20 +310,18 @@ def filter_questions(
         for r in records
         for q in r.questions
     ]
+    normalized = [normalize_question(c.text) for c in candidates]
     staged = [
-        c.removed(RemovalReason.MALFORMED)
-        if _is_malformed(normalize_question(c.text))
-        else c
-        for c in candidates
+        c.removed(RemovalReason.MALFORMED) if _is_malformed(n) else c
+        for c, n in zip(candidates, normalized)
     ]
     staged = dedup(staged, cfg)
     out = []
-    for c in staged:
+    for c, n in zip(staged, normalized):
         if c.kept:
-            normalized = normalize_question(c.text)
-            if is_modelling_primitive(normalized, cfg):
+            if is_modelling_primitive(n, cfg):
                 c = c.removed(RemovalReason.MODELLING_PRIMITIVE)
-            elif is_subjective_narrative(normalized, cfg):
+            elif is_subjective_narrative(n, cfg):
                 c = c.removed(RemovalReason.SUBJECTIVE_NARRATIVE)
         out.append(c)
     return out

@@ -438,8 +438,9 @@ def generate_records(
     template id, provider id) no matter how requests complete.
     """
     stmts = list(statements.statements if isinstance(statements, StatementSet) else statements)
+    templates = list(templates)
     records: list[GenerationRecord] = []
-    for provider in providers:
+    for provider in list(providers):
         for template in templates:
             prompts = [render_prompt(template, st) for st in stmts]
 

@@ -430,6 +430,8 @@ def _read_turtle_iri(sc: _Scanner, prefixes: dict) -> Term:
 
 
 def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> Term:
+    if sc.at_end():
+        raise sc.error("expected subject, found end of input")
     ch = sc.peek()
     if ch == "[":
         raise sc.unsupported("anonymous blank node '[]'")
@@ -443,24 +445,28 @@ def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> Term:
         if sc.peek(1) == "<":
             raise sc.unsupported("quoted triple '<<'")
         return Term.iri(_read_iriref(sc))
-    if _PNAME_START.match(ch or " ") or ch == ":":
+    if _PNAME_START.match(ch) or ch == ":":
         return Term.iri(_read_prefixed_name(sc, prefixes))
     raise sc.error(f"expected subject, found {ch!r}")
 
 
 def _read_turtle_verb(sc: _Scanner, prefixes: dict) -> Term:
+    if sc.at_end():
+        raise sc.error("expected predicate, found end of input")
     ch = sc.peek()
     if ch == "a" and not _PNAME_CHARS.match(sc.peek(1) or " ") and sc.peek(1) != ":":
         sc.advance()
         return Term.iri(RDF_TYPE_IRI)
     if ch == "<":
         return Term.iri(_read_iriref(sc))
-    if _PNAME_START.match(ch or " ") or ch == ":":
+    if _PNAME_START.match(ch) or ch == ":":
         return Term.iri(_read_prefixed_name(sc, prefixes))
     raise sc.error(f"expected predicate, found {ch!r}")
 
 
 def _read_turtle_object(sc: _Scanner, prefixes: dict) -> Term:
+    if sc.at_end():
+        raise sc.error("expected object, found end of input")
     ch = sc.peek()
     if ch == "[":
         raise sc.unsupported("anonymous blank node '[]'")
@@ -477,7 +483,7 @@ def _read_turtle_object(sc: _Scanner, prefixes: dict) -> Term:
         return _finish_literal(sc, lexical, prefixes)
     if ch.isdigit() or ch in "+-.":
         raise sc.unsupported("numeric literal shorthand")
-    if _PNAME_START.match(ch or " ") or ch == ":":
+    if _PNAME_START.match(ch) or ch == ":":
         mark = sc.checkpoint()
         word_chars: list[str] = []
         while not sc.at_end() and _PNAME_CHARS.match(sc.peek()):

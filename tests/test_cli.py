@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cqretrofit.cli import main
+from cqretrofit.cli import load_run_config, main
 
 from conftest import FIXTURES
 
@@ -163,6 +163,14 @@ class TestGenerate:
             == 0
         )
         assert (out / "questions_P9_mock-small.csv").exists()
+
+    def test_template_file_from_config(self, tmp_path):
+        extra = tmp_path / "P9.txt"
+        extra.write_text("List questions for <statement>\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"templates": ["P1"], "template_file": str(extra)}))
+        cfg = load_run_config(cfg_path)
+        assert [t.id for t in cfg.resolved_templates()] == ["P1", "P9"]
 
 
 class TestFilterCommand:

@@ -122,8 +122,16 @@ class TestTokenSortRatio:
     def test_word_order_insensitive(self):
         assert token_sort_ratio("a planet what is?", "what is a planet?") == 100.0
 
-    @given(st.text(max_size=60), st.text(max_size=60))
-    @settings(max_examples=150)
+    # The letter-and-space alphabets make token-sorted forms run past the
+    # 64 bits of a machine word.
+    _long_text = st.one_of(
+        st.text(max_size=200),
+        st.text(alphabet="abcd e1.?", max_size=200),
+        st.text(alphabet="ab ", min_size=60, max_size=200),
+    )
+
+    @given(_long_text, _long_text)
+    @settings(max_examples=150, deadline=None)
     def test_matches_oracle(self, a, b):
         assert token_sort_ratio(a, b) == pytest.approx(oracle_ratio(a, b))
 
@@ -168,6 +176,77 @@ class TestDedup:
         ]
         out = dedup(cands)
         assert out[1].kept  # earlier malformed copy is not a kept representative
+
+
+def oracle_dedup(candidates, cfg):
+    """All-pairs reference: each kept question against every earlier kept
+    question of its pool, by the oracle ratio."""
+    pools = {}
+    out = []
+    for c in candidates:
+        if not c.kept:
+            out.append(c)
+            continue
+        pool = pools.setdefault(
+            () if cfg.global_dedup else (c.template_id, c.provider_id), []
+        )
+        q = normalize_question(c.text)
+        if any(oracle_ratio(q, seen) >= cfg.dedup_ratio_threshold for seen in pool):
+            out.append(c.removed(RemovalReason.DUPLICATE))
+        else:
+            pool.append(q)
+            out.append(c)
+    return out
+
+
+_dedup_word = st.sampled_from(
+    "a an the player players game gaming achievement reward guild what who".split()
+)
+# Near-duplicates from a small vocabulary, punctuation-only texts whose
+# token-sorted form is empty, and free text; up to 14 words runs past 64
+# characters.
+_dedup_text = st.one_of(
+    st.lists(_dedup_word, max_size=14).map(lambda ws: " ".join(ws) + "?"),
+    st.sampled_from(["?", "", "...?", "What?!"]),
+    st.text(max_size=40),
+)
+_dedup_candidate = st.builds(
+    lambda text, template, provider, malformed: (
+        CandidateCQ(text, 0, template, provider).removed(RemovalReason.MALFORMED)
+        if malformed
+        else CandidateCQ(text, 0, template, provider)
+    ),
+    _dedup_text,
+    st.sampled_from(["P1", "P2"]),
+    st.sampled_from(["m", "n"]),
+    st.booleans(),
+)
+
+
+class TestDedupOracle:
+    @given(
+        st.lists(_dedup_candidate, max_size=10),
+        st.integers(min_value=0, max_value=100),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_reference(self, candidates, threshold, global_dedup):
+        cfg = FiltrationConfig(dedup_ratio_threshold=threshold, global_dedup=global_dedup)
+        got = dedup(candidates, cfg)
+        want = oracle_dedup(candidates, cfg)
+        assert [(c.kept, c.removal_reason) for c in got] == [
+            (c.kept, c.removal_reason) for c in want
+        ]
+
+    def test_long_forms_at_threshold_boundary(self):
+        # 71-character token-sorted forms one edit apart: ratio 100 * 70/71.
+        base = " ".join(["achievement"] * 5 + ["guild"] * 2)
+        a, b = base + "?", base.replace("guild", "guilt", 1) + "?"
+        assert oracle_ratio(a, b) == pytest.approx(100.0 * 70 / 71)
+        for threshold, removed in ((98, True), (99, False)):
+            cfg = FiltrationConfig(dedup_ratio_threshold=threshold)
+            out = dedup([CandidateCQ(a, 0, "P1", "m"), CandidateCQ(b, 1, "P1", "m")], cfg)
+            assert (not out[1].kept) is removed
 
 
 class TestPrimitive:

@@ -268,6 +268,14 @@ class TestGenerateRecords:
         assert keys == sorted(keys)
         assert len(records) == 5 * 2 * 2
 
+    def test_generator_templates_reach_every_provider(self, statements):
+        records = generate_records(
+            statements[:1],
+            (t for t in ["P1", "P2"]),
+            (p for p in [mock_provider("model-a"), mock_provider("model-b")]),
+        )
+        assert sorted(r.template_id for r in records) == ["P1", "P1", "P2", "P2"]
+
     def test_all_questions_wellformed(self, statements):
         records = generate_records(statements, ["P1"], [mock_provider()], seed=3)
         for record in records:

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqretrofit.ontology import (
     EmptyLocalNameError,
+    OntologyError,
     OntologySyntaxError,
     Statement,
     Term,
@@ -215,6 +218,58 @@ class TestTurtleParsing:
     def test_local_name_with_interior_dot(self):
         doc = "@prefix ex: <http://e/> .\nex:v1.5 ex:p ex:o ."
         assert parse_ontology(doc, "turtle")[0].subject.lexical == "http://e/v1.5"
+
+    @pytest.mark.parametrize(
+        "doc,line,column",
+        [
+            ("<x> <p>", 1, 8),
+            ("<x> <p> ", 1, 9),
+            ("<x>", 1, 4),
+            ("@prefix : <http://e/> .\n:a :b", 2, 6),
+            ("@prefix : <http://e/> .\n:a :b :c ;", 2, 11),
+            ("@prefix : <http://e/> .\n:a :b :c ,", 2, 11),
+        ],
+    )
+    def test_truncated_statement_is_syntax_error(self, doc, line, column):
+        with pytest.raises(OntologySyntaxError, match="end of input") as err:
+            parse_ontology(doc, "turtle")
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+# Valid documents of both syntaxes, cut short and spliced with fragments,
+# so that generated inputs reach deep into the readers instead of failing
+# on their first character.
+_VALID = [
+    (FIXTURES / name).read_text(encoding="utf-8")
+    for name in ("vicinity_sample.ttl", "vicinity_sample.nt")
+]
+_FRAGMENTS = st.sampled_from(
+    [
+        "<http://e/a>", "<", ">", "_:b", "_:", '"', "'", '"x"', "@en", "@", "^^",
+        "^^<http://e/t>", "core:", ":", "a", "core:a", "@prefix", "PREFIX", "@base",
+        " ", "\n", ".", ";", ",", "#c\n", "[", "(", "<<", "5", "true", "\\u00", "\\",
+    ]
+)
+
+
+@st.composite
+def _documents(draw):
+    doc = draw(st.sampled_from(_VALID))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(doc)))
+        doc = doc[:i] + draw(st.one_of(_FRAGMENTS, st.text(max_size=3))) + doc[i:]
+    return doc[: draw(st.integers(0, len(doc)))]
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    @given(text=st.one_of(st.text(max_size=80), _documents()))
+    @settings(max_examples=300, deadline=None)
+    def test_raises_only_ontology_errors(self, fmt, text):
+        try:
+            parse_ontology(text, fmt)
+        except OntologyError:
+            pass
 
 
 class TestFilterStatements:
