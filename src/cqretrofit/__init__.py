@@ -27,7 +27,6 @@ from .gateway import (
     complete,
     extract_questions,
     generate_records,
-    mock_generate,
     mock_provider,
 )
 from .matcher import (

@@ -3,7 +3,7 @@
 One CSV per (template, model) cell, named ``questions_<template>_<model>.csv``
 with the single header ``Questions``, plus a JSON sidecar carrying full
 provenance (statement ordinals, removal reasons, cache hits, counts).
-All file writes are atomic (temp file + rename). With the mock provider,
+All file writes are atomic (unique temp file + rename). With the mock provider,
 a fixed seed, and the lexical matcher backend, repeated runs are
 byte-identical.
 """
@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -29,10 +31,22 @@ logger = logging.getLogger(__name__)
 QUESTIONS_CSV_HEADER = "Questions"
 
 
+class ConfigError(ValueError):
+    """A JSON run configuration that does not fit :class:`RunConfig`."""
+
+
 @dataclass
 class RunConfig:
-    """Full pipeline configuration; JSON file fields map 1:1, CLI flags
-    override."""
+    """Full pipeline configuration; CLI flags override.
+
+    The keys of a JSON config file map 1:1 onto these fields, and those
+    of its ``providers``, ``filtration`` and ``matcher`` objects onto the
+    fields of :class:`~cqretrofit.gateway.ProviderConfig`,
+    :class:`~cqretrofit.filtration.FiltrationConfig` and
+    :class:`~cqretrofit.matcher.MatcherConfig`. An unknown key, a missing
+    required key, a section that is not an object or a value of the wrong
+    type raises :class:`ConfigError` naming the key.
+    """
 
     ontology_paths: list[str] = field(default_factory=list)
     templates: list[str] = field(default_factory=lambda: ["P1", "P2", "P3"])
@@ -57,37 +71,64 @@ class RunConfig:
         return resolved
 
 
-def _provider_from_dict(raw: dict) -> gateway.ProviderConfig:
-    model_name = raw["model_name"]
-    return gateway.ProviderConfig(
-        provider_id=raw["provider_id"],
-        model_name=model_name,
-        endpoint_url=raw.get("endpoint_url"),
-        max_tokens=raw.get("max_tokens", gateway.preset_max_tokens(model_name)),
-        temperature=raw.get("temperature"),
-        request_timeout_s=raw.get("request_timeout_s", 60.0),
-        max_retries=raw.get("max_retries", 3),
-        retry_backoff_s=raw.get("retry_backoff_s", 0.5),
-    )
+def _from_json(tp, value, key: str = ""):
+    """``value`` (decoded JSON) as an instance of the annotated type
+    ``tp``: a config dataclass, a list or tuple of one item type,
+    ``Optional`` of a type, or a scalar. An enum field takes its string
+    value, which the dataclass converts and checks. ``key`` is the dotted
+    path of ``value`` for error messages."""
+    if typing.get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(
+                f"{key or 'config'} must be a JSON object, not {type(value).__name__}"
+            )
+        prefix = f"{key}." if key else ""
+        fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
+        for name in value:
+            if name not in fields:
+                raise ConfigError(f"unknown key {prefix}{name}")
+        for name, f in fields.items():
+            required = f.default is dataclasses.MISSING
+            if required and f.default_factory is dataclasses.MISSING and name not in value:
+                raise ConfigError(f"missing required key {prefix}{name}")
+        hints = typing.get_type_hints(tp)
+        kwargs = {n: _from_json(hints[n], v, prefix + n) for n, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except (ValueError, re.error) as exc:  # range checks in __post_init__
+            raise ConfigError(f"{key or 'config'}: {exc}") from None
+    origin = typing.get_origin(tp)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, not {type(value).__name__}")
+        item = typing.get_args(tp)[0]
+        return origin(_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    if issubclass(tp, Enum):
+        tp = str
+    # JSON has one number type: an integer is a valid float; a bool is no number.
+    allowed = (int, float) if tp is float else tp
+    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{key} must be {tp.__name__}, not {type(value).__name__}")
+    return value
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    cfg = RunConfig()
-    cfg.ontology_paths = list(raw.get("ontology_paths", []))
-    cfg.templates = list(raw.get("templates", cfg.templates))
+    try:
+        cfg = _from_json(RunConfig, raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    # A provider without max_tokens gets its model family's preset.
     if "providers" in raw:
-        cfg.providers = [_provider_from_dict(p) for p in raw["providers"]]
-    if "filtration" in raw:
-        cfg.filtration = filtration.FiltrationConfig(**raw["filtration"])
-    if "matcher" in raw:
-        cfg.matcher = matcher.MatcherConfig(**raw["matcher"])
-    cfg.design_cq_path = raw.get("design_cq_path")
-    cfg.output_dir = raw.get("output_dir", cfg.output_dir)
-    cfg.cache_dir = raw.get("cache_dir")
-    cfg.parallelism = int(raw.get("parallelism", cfg.parallelism))
-    cfg.seed = int(raw.get("seed", cfg.seed))
-    cfg.template_file = raw.get("template_file")
+        cfg.providers = [
+            p if "max_tokens" in r
+            else dataclasses.replace(p, max_tokens=gateway.preset_max_tokens(p.model_name))
+            for p, r in zip(cfg.providers, raw["providers"])
+        ]
     return cfg
 
 
@@ -96,24 +137,23 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._\-]", "_", name)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _questions_csv(texts: Sequence[str]) -> str:
+def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([QUESTIONS_CSV_HEADER])
-    for text in texts:
-        writer.writerow([text])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _questions_csv(texts: Sequence[str]) -> str:
+    return _csv_text([[QUESTIONS_CSV_HEADER]] + [[t] for t in texts])
+
+
+def _question_row(c: filtration.CandidateCQ) -> dict:
+    reason = c.removal_reason.value if c.removal_reason else None
+    return {"text": c.text, "status": c.status, "removal_reason": reason}
 
 
 def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.StatementSet:
@@ -151,7 +191,7 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
                 )
             )
         out_path = _ontology_out_dir(cfg, sset.source_id, multi) / "statements.tsv"
-        _atomic_write_text(out_path, "\n".join(rows) + ("\n" if rows else ""))
+        gateway.atomic_write_text(out_path, "\n".join(rows) + ("\n" if rows else ""))
         c = sset.counts
         print(
             f"{path}: parsed={c.parsed} excluded_blank={c.excluded_blank} "
@@ -160,39 +200,6 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
         )
         written.append(out_path)
     return written
-
-
-def _complete_cell(
-    sset: ontology.StatementSet,
-    template: prompts.PromptTemplate,
-    provider: gateway.ProviderConfig,
-    cache: Optional[gateway.ResponseCache],
-    seed: int,
-    parallelism: int,
-) -> tuple[list[gateway.GenerationRecord], int]:
-    """All statements of one (template, provider) cell; returns records
-    in statement order and the number of cache hits."""
-    rendered = [prompts.render_prompt(template, st) for st in sset.statements]
-
-    def resolve(p: prompts.PromptInstance) -> gateway.RawResponse:
-        return gateway.complete(p, provider, cache, mock_seed=seed)
-
-    if parallelism > 1 and not provider.is_mock:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            responses = list(pool.map(resolve, rendered))
-    else:
-        responses = [resolve(p) for p in rendered]
-    records = [
-        gateway.GenerationRecord(
-            statement_ordinal=p.statement_ordinal,
-            template_id=p.template_id,
-            provider_id=provider.provider_id,
-            questions=tuple(gateway.extract_questions(r)),
-        )
-        for p, r in zip(rendered, responses)
-    ]
-    cache_hits = sum(1 for r in responses if r.from_cache)
-    return records, cache_hits
 
 
 def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[Path]:
@@ -208,8 +215,13 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
         for template in templates:
             for provider in cfg.providers:
                 try:
-                    records, cache_hits = _complete_cell(
-                        sset, template, provider, cache, cfg.seed, cfg.parallelism
+                    records = gateway.generate_records(
+                        sset,
+                        [template],
+                        [provider],
+                        cache=cache,
+                        seed=cfg.seed,
+                        parallelism=cfg.parallelism,
                     )
                 except gateway.GatewayError as exc:
                     raise gateway.GatewayError(
@@ -220,7 +232,7 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
                 kept = filtration.kept_questions(candidates)
                 stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
                 csv_path = out_dir / f"{stem}.csv"
-                _atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
+                gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
                 n_questions = sum(len(r.questions) for r in records)
                 sidecar = {
                     "ontology": sset.source_id,
@@ -229,28 +241,16 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
                     "model": provider.model_name,
                     "seed": cfg.seed,
                     "n_triples": sset.counts.kept,
-                    "ingest_counts": {
-                        "parsed": sset.counts.parsed,
-                        "excluded_blank": sset.counts.excluded_blank,
-                        "excluded_opaque": sset.counts.excluded_opaque,
-                        "kept": sset.counts.kept,
-                    },
+                    "ingest_counts": dataclasses.asdict(sset.counts),
                     "n_questions": n_questions,
                     "n_candidates": len(kept),
-                    "cache_hits": cache_hits,
+                    "cache_hits": sum(r.from_cache for r in records),
                     "questions": [
-                        {
-                            "text": c.text,
-                            "statement_ordinal": c.statement_ordinal,
-                            "status": c.status,
-                            "removal_reason": c.removal_reason.value
-                            if c.removal_reason
-                            else None,
-                        }
+                        {**_question_row(c), "statement_ordinal": c.statement_ordinal}
                         for c in candidates
                     ],
                 }
-                _atomic_write_text(out_dir / f"{stem}.json", _dump_json(sidecar))
+                gateway.atomic_write_text(out_dir / f"{stem}.json", _dump_json(sidecar))
                 written.append(csv_path)
                 logger.info(
                     "wrote %s (%d kept of %d questions)",
@@ -276,21 +276,14 @@ def run_filter(
     candidates = filtration.filter_questions(records, cfg.filtration)
     kept = filtration.kept_questions(candidates)
     out_path = output_csv or in_path.with_name(in_path.stem + "_filtered.csv")
-    _atomic_write_text(out_path, _questions_csv([c.text for c in kept]))
+    gateway.atomic_write_text(out_path, _questions_csv([c.text for c in kept]))
     sidecar = {
         "input": str(in_path),
         "n_questions": len(rows),
         "n_candidates": len(kept),
-        "questions": [
-            {
-                "text": c.text,
-                "status": c.status,
-                "removal_reason": c.removal_reason.value if c.removal_reason else None,
-            }
-            for c in candidates
-        ],
+        "questions": [_question_row(c) for c in candidates],
     }
-    _atomic_write_text(out_path.with_suffix(".json"), _dump_json(sidecar))
+    gateway.atomic_write_text(out_path.with_suffix(".json"), _dump_json(sidecar))
     return out_path
 
 
@@ -318,90 +311,42 @@ def _discover_cells(candidates_dir: Path) -> list[dict]:
     return [_read_cell(p) for p in csv_paths]
 
 
-def _stats_dict(row: metrics.StatsRow) -> dict:
-    return row.rounded()
-
-
-def _cell_report(
-    cell: dict,
-    design: Optional[matcher.DesignCQSet],
-    cfg: RunConfig,
-    labels: Optional[metrics.ValidationLabels],
+def _report_entry(
+    meta: dict,
+    m: metrics.EvalMetrics,
+    matched: bool = True,
+    unmatched_word_counts: Optional[Sequence[int]] = None,
 ) -> dict:
+    """One ``report.json`` cell from a sidecar or counts-fixture entry
+    (``meta``) and its metrics. Without matching, only the question
+    counts and rate are reported."""
     entry = {
-        "ontology": cell.get("ontology", ""),
-        "template": cell["template"],
-        "provider": cell.get("provider", ""),
-        "model": cell.get("model", ""),
-        "n_questions": cell["n_questions"],
-        "n_triples": cell["n_triples"],
-        "n_candidates": len(cell["kept_questions"]),
-    }
-    if design is not None:
-        report = matcher.match_candidates(cell["kept_questions"], design, cfg.matcher)
-        m = metrics.compute_metrics(report, cell["n_questions"], cell["n_triples"])
-        unmatched = report.unmatched_design_questions()
-        stats = metrics.unmatched_stats(
-            [metrics.word_count(q) for q in unmatched], len(design)
-        )
-        entry.update(
-            {
-                "n_design": len(design),
-                "n_validated": m.tp,
-                "n_unmatched_design": m.fn,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "mean_q_per_triple": m.mean_q_per_triple,
-                "rounded": m.rounded(),
-                "unmatched_stats": _stats_dict(stats),
-                "unmatched_design_cqs": unmatched,
-            }
-        )
-    else:
-        entry["mean_q_per_triple"] = metrics.mean_questions_per_triple(
-            cell["n_questions"], cell["n_triples"]
-        )
-        entry["rounded"] = {
-            "mean_q_per_triple": metrics.round_half_up(entry["mean_q_per_triple"], 2)
-        }
-    if labels is not None:
-        human = metrics.precision_from_labels(cell["kept_questions"], labels)
-        entry["human_precision"] = human
-        entry["rounded"]["human_precision"] = metrics.round_half_up(human, 4)
-    return entry
-
-
-def _fixture_report(fixture: dict) -> dict:
-    n_design = fixture.get("n_design")
-    tp = fixture["n_validated"]
-    fp = fixture["n_candidates"] - tp
-    fn = fixture["n_unmatched"]
-    m = metrics.metrics_from_counts(
-        tp, fp, fn, fixture["n_questions"], fixture["n_triples"], n_design=n_design
-    )
-    entry = {
-        "ontology": fixture.get("ontology", ""),
-        "template": fixture.get("template", ""),
-        "provider": fixture.get("provider", ""),
-        "model": fixture.get("model", ""),
+        "ontology": meta.get("ontology", ""),
+        "template": meta.get("template", ""),
+        "provider": meta.get("provider", ""),
+        "model": meta.get("model", ""),
         "n_questions": m.n_questions,
         "n_triples": m.n_triples,
         "n_candidates": m.n_candidates,
-        "n_design": m.n_design,
-        "n_validated": m.tp,
-        "n_unmatched_design": m.fn,
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
         "mean_q_per_triple": m.mean_q_per_triple,
         "rounded": m.rounded(),
     }
-    word_counts = fixture.get("unmatched_word_counts")
-    if word_counts is not None and n_design:
-        entry["unmatched_stats"] = _stats_dict(
-            metrics.unmatched_stats(word_counts, n_design)
-        )
+    if not matched:
+        entry["rounded"] = {"mean_q_per_triple": entry["rounded"]["mean_q_per_triple"]}
+        return entry
+    entry.update(
+        {
+            "n_design": m.n_design,
+            "n_validated": m.tp,
+            "n_unmatched_design": m.fn,
+            "precision": m.precision,
+            "recall": m.recall,
+            "f1": m.f1,
+        }
+    )
+    if unmatched_word_counts is not None:
+        stats = metrics.unmatched_stats(unmatched_word_counts, m.n_design)
+        entry["unmatched_stats"] = stats.rounded()
     return entry
 
 
@@ -472,9 +417,21 @@ def run_evaluate(
         if validation_labels
         else None
     )
+    entries = []
     if counts_fixture is not None:
-        fixtures = json.loads(Path(counts_fixture).read_text(encoding="utf-8"))
-        entries = [_fixture_report(f) for f in fixtures]
+        for f in json.loads(Path(counts_fixture).read_text(encoding="utf-8")):
+            n_design = f.get("n_design")
+            tp = f["n_validated"]
+            m = metrics.metrics_from_counts(
+                tp,
+                f["n_candidates"] - tp,
+                f["n_unmatched"],
+                f["n_questions"],
+                f["n_triples"],
+                n_design=n_design,
+            )
+            word_counts = f.get("unmatched_word_counts") if n_design else None
+            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts))
     else:
         design = None
         if cfg.design_cq_path:
@@ -485,8 +442,25 @@ def run_evaluate(
             raise ValueError(
                 "evaluate needs --design, --validation-labels, or --counts-fixture"
             )
-        cells = _discover_cells(candidates_dir or out_dir)
-        entries = [_cell_report(cell, design, cfg, labels) for cell in cells]
+        for cell in _discover_cells(candidates_dir or out_dir):
+            kept = cell["kept_questions"]
+            n_questions, n_triples = cell["n_questions"], cell["n_triples"]
+            if design is None:
+                m = metrics.metrics_from_counts(0, len(kept), 0, n_questions, n_triples)
+                entry = _report_entry(cell, m, matched=False)
+            else:
+                report = matcher.match_candidates(kept, design, cfg.matcher)
+                m = metrics.compute_metrics(report, n_questions, n_triples)
+                unmatched = report.unmatched_design_questions()
+                entry = _report_entry(
+                    cell, m, unmatched_word_counts=[metrics.word_count(q) for q in unmatched]
+                )
+                entry["unmatched_design_cqs"] = unmatched
+            if labels is not None:
+                human = metrics.precision_from_labels(kept, labels)
+                entry["human_precision"] = human
+                entry["rounded"]["human_precision"] = metrics.round_half_up(human, 4)
+            entries.append(entry)
 
     report = {
         "backend": cfg.matcher.backend.value,
@@ -494,14 +468,11 @@ def run_evaluate(
         "cells": entries,
     }
     report_path = out_dir / "report.json"
-    _atomic_write_text(report_path, _dump_json(report))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SUMMARY_COLUMNS)
-    for entry in entries:
-        writer.writerow(_summary_row(entry))
+    gateway.atomic_write_text(report_path, _dump_json(report))
     summary_path = out_dir / "summary.csv"
-    _atomic_write_text(summary_path, buf.getvalue())
+    gateway.atomic_write_text(
+        summary_path, _csv_text([_SUMMARY_COLUMNS] + [_summary_row(e) for e in entries])
+    )
     return report_path, summary_path
 
 
@@ -584,69 +555,50 @@ def _add_filtration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--global-dedup", action="store_true", default=None)
 
 
+def _given(**values) -> dict:
+    """The keyword arguments that are not None."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "ontologies", None):
-        cfg.ontology_paths = list(args.ontologies)
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    if args.cache_dir:
-        cfg.cache_dir = args.cache_dir
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.parallelism is not None:
-        cfg.parallelism = args.parallelism
-    if getattr(args, "templates", None):
-        cfg.templates = list(args.templates)
-    if getattr(args, "template_file", None):
-        cfg.template_file = args.template_file
+    flags = vars(args)
 
-    updates: dict = {}
-    if getattr(args, "strictness", None):
-        updates["strictness"] = args.strictness
-    if getattr(args, "dedup_threshold", None) is not None:
-        updates["dedup_ratio_threshold"] = args.dedup_threshold
-    if getattr(args, "primitive_lexicon", None):
-        updates["primitive_patterns"] = filtration.load_pattern_file(
-            args.primitive_lexicon
-        )
-    if getattr(args, "narrative_patterns", None):
-        updates["narrative_patterns"] = filtration.load_pattern_file(
-            args.narrative_patterns
-        )
-    if getattr(args, "global_dedup", None):
-        updates["global_dedup"] = True
-    if updates:
-        base = cfg.filtration
-        cfg.filtration = filtration.FiltrationConfig(
-            dedup_ratio_threshold=updates.get(
-                "dedup_ratio_threshold", base.dedup_ratio_threshold
-            ),
-            primitive_patterns=updates.get(
-                "primitive_patterns", base.primitive_patterns
-            ),
-            narrative_patterns=updates.get(
-                "narrative_patterns", base.narrative_patterns
-            ),
-            strictness=updates.get("strictness", base.strictness),
-            global_dedup=updates.get("global_dedup", base.global_dedup),
-        )
+    def pattern_file(flag: str) -> Optional[tuple[str, ...]]:
+        path = flags.get(flag)
+        return filtration.load_pattern_file(path) if path else None
 
-    if getattr(args, "design", None):
-        cfg.design_cq_path = args.design
-    if getattr(args, "tau", None) is not None or getattr(args, "backend", None) or getattr(
-        args, "embedding_url", None
-    ):
-        base_m = cfg.matcher
-        cfg.matcher = matcher.MatcherConfig(
-            backend=getattr(args, "backend", None) or base_m.backend,
-            similarity_threshold=args.tau
-            if getattr(args, "tau", None) is not None
-            else base_m.similarity_threshold,
-            endpoint_url=getattr(args, "embedding_url", None) or base_m.endpoint_url,
-            dimension=base_m.dimension,
-        )
-    return cfg
+    return dataclasses.replace(
+        cfg,
+        **_given(
+            ontology_paths=flags.get("ontologies") or None,
+            output_dir=args.output_dir or None,
+            cache_dir=args.cache_dir or None,
+            seed=args.seed,
+            parallelism=args.parallelism,
+            templates=flags.get("templates") or None,
+            template_file=flags.get("template_file") or None,
+            design_cq_path=flags.get("design") or None,
+        ),
+        filtration=dataclasses.replace(
+            cfg.filtration,
+            **_given(
+                strictness=flags.get("strictness"),
+                dedup_ratio_threshold=flags.get("dedup_threshold"),
+                primitive_patterns=pattern_file("primitive_lexicon"),
+                narrative_patterns=pattern_file("narrative_patterns"),
+                global_dedup=flags.get("global_dedup"),
+            ),
+        ),
+        matcher=dataclasses.replace(
+            cfg.matcher,
+            **_given(
+                backend=flags.get("backend"),
+                similarity_threshold=flags.get("tau"),
+                endpoint_url=flags.get("embedding_url") or None,
+            ),
+        ),
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -10,7 +10,7 @@ defaults below.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -82,20 +82,14 @@ class CandidateCQ:
     provider_id: str
     status: str = "kept"
     removal_reason: Optional[RemovalReason] = None
+    model_name: str = ""
 
     @property
     def kept(self) -> bool:
         return self.status == "kept"
 
     def removed(self, reason: RemovalReason) -> "CandidateCQ":
-        return CandidateCQ(
-            self.text,
-            self.statement_ordinal,
-            self.template_id,
-            self.provider_id,
-            status="removed",
-            removal_reason=reason,
-        )
+        return replace(self, status="removed", removal_reason=reason)
 
 
 @dataclass
@@ -235,7 +229,7 @@ def _default_config() -> FiltrationConfig:
 
 
 def _pool_key(c: CandidateCQ, cfg: FiltrationConfig) -> tuple:
-    return () if cfg.global_dedup else (c.template_id, c.provider_id)
+    return () if cfg.global_dedup else (c.template_id, c.provider_id, c.model_name)
 
 
 def _near_kept(
@@ -264,7 +258,7 @@ def dedup(
     Scans in order; the first occurrence stays as the kept
     representative and later questions are compared against kept
     representatives only. By default questions are pooled per
-    (template, provider); ``cfg.global_dedup`` uses one pool. The
+    (template, provider, model); ``cfg.global_dedup`` uses one pool. The
     decisions are those of :func:`is_duplicate` on normalized questions.
     """
     cfg = cfg or _default_config()
@@ -306,7 +300,9 @@ def filter_questions(
     """
     cfg = cfg or _default_config()
     candidates = [
-        CandidateCQ(q, r.statement_ordinal, r.template_id, r.provider_id)
+        CandidateCQ(
+            q, r.statement_ordinal, r.template_id, r.provider_id, model_name=r.model_name
+        )
         for r in records
         for q in r.questions
     ]

@@ -3,8 +3,10 @@
 Providers are either real HTTP chat-completion endpoints (one user-role
 message per request, common JSON schema) or the built-in deterministic
 mock used for offline runs and tests. Responses are cached on disk,
-keyed by a digest of (model name, rendered prompt), so a warm-cache run
-performs zero network calls.
+keyed by a digest of the model name, the rendered prompt and the request
+parameters that change the response (the mock's seed; an HTTP request's
+``max_tokens`` and ``temperature``), so a warm-cache run performs zero
+network calls.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import logging
 import os
 import random
 import re
-import threading
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,8 +25,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import requests
 
+from . import prompts
 from .ontology import Statement, StatementSet
-from .prompts import PromptInstance, PromptTemplate, render_prompt
+from .prompts import PromptInstance, PromptTemplate
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +120,9 @@ class RawResponse:
 def prompt_digest(model_name: str, rendered_prompt: str, salt: str = "") -> str:
     """Cache key: SHA-256 over the model name and the exact prompt text.
 
-    ``salt`` folds run parameters that change the response for the same
-    prompt (the mock's seed) into the key.
+    ``salt`` folds request parameters that change the response for the
+    same prompt (the mock's seed, or an HTTP request's ``max_tokens`` and
+    ``temperature``) into the key.
     """
     h = hashlib.sha256()
     for part in (model_name, rendered_prompt, salt):
@@ -127,27 +131,48 @@ def prompt_digest(model_name: str, rendered_prompt: str, salt: str = "") -> str:
     return h.hexdigest()
 
 
+def _current_umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# ``mkstemp`` creates files with mode 0600; written files get the mode
+# ``open()`` would give them instead.
+_FILE_MODE = 0o666 & ~_current_umask()
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` (UTF-8) through a uniquely named temp
+    file in the same directory and a rename, so neither readers nor other
+    writers, in this process or another, ever see a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class ResponseCache:
     """Content-addressed response store, one JSON file per digest.
 
-    Reads are lock-free; writes are serialized and atomic (temp file +
-    rename), so concurrent workers never observe a torn entry.
+    Reads are lock-free; writes go through :func:`atomic_write_text`, so
+    concurrent workers never observe a torn entry.
     """
 
-    def __init__(self, directory: Union[str, Path, None]) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, dict] = {}
-        self._write_lock = threading.Lock()
+    def __init__(self, directory: Union[str, Path]) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, digest: str) -> Path:
-        assert self.directory is not None
         return self.directory / f"{digest}.json"
 
     def get(self, digest: str) -> Optional[dict]:
-        if self.directory is None:
-            return self._memory.get(digest)
         path = self._path(digest)
         if not path.exists():
             return None
@@ -158,17 +183,9 @@ class ResponseCache:
             return None
 
     def put(self, digest: str, payload: dict) -> None:
-        if self.directory is None:
-            self._memory[digest] = payload
-            return
-        path = self._path(digest)
-        tmp = path.with_suffix(".json.tmp")
-        with self._write_lock:
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True, ensure_ascii=False),
-                encoding="utf-8",
-            )
-            os.replace(tmp, path)
+        atomic_write_text(
+            self._path(digest), json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        )
 
 
 # Question frames for the mock provider. Two are intentionally shaped so
@@ -186,45 +203,27 @@ _MOCK_FRAMES = (
 )
 
 
-def _mock_text(
-    subject_label: str,
-    predicate_label: str,
-    object_label: str,
-    ordinal: int,
-    template_id: str,
-    seed: int,
-) -> str:
-    rng = random.Random(f"{seed}:{ordinal}:{template_id}")
-    count = rng.randint(2, 5)
-    frames = rng.sample(_MOCK_FRAMES, count)
-    lines = []
-    for i, frame in enumerate(frames, start=1):
-        question = frame.format(s=subject_label, p=predicate_label, o=object_label)
-        lines.append(f"{i}. {question}")
-    return "\n".join(lines)
-
-
-def mock_generate(statement: Statement, template_id: str, seed: int) -> str:
-    """Deterministic offline stand-in for a provider response: a
-    numbered list of 2-5 questions over the statement labels, chosen by
-    a PRNG seeded from (seed, statement ordinal, template id)."""
-    subject = statement.subject.readable() or statement.subject.lexical
-    predicate = statement.predicate.readable() or statement.predicate.lexical
-    obj = statement.object.readable() or statement.object.lexical
-    return _mock_text(subject, predicate, obj, statement.ordinal, template_id, seed)
-
-
 _BRACKETED_STATEMENT_RE = re.compile(r"\['(.*?)', '(.*?)', '(.*?)'\]")
 
 
 def _mock_complete(prompt: PromptInstance, seed: int) -> str:
+    """Deterministic offline stand-in for a provider response: a
+    numbered list of 2-5 questions over the prompt's statement labels,
+    chosen by a PRNG seeded from (seed, statement ordinal, template id)."""
     match = _BRACKETED_STATEMENT_RE.search(prompt.rendered)
     if not match:
         raise MalformedResponseError(
             "mock provider could not find a bracketed statement in the prompt"
         )
     s, p, o = match.groups()
-    return _mock_text(s, p, o, prompt.statement_ordinal, prompt.template_id, seed)
+    rng = random.Random(f"{seed}:{prompt.statement_ordinal}:{prompt.template_id}")
+    count = rng.randint(2, 5)
+    frames = rng.sample(_MOCK_FRAMES, count)
+    lines = []
+    for i, frame in enumerate(frames, start=1):
+        question = frame.format(s=s, p=p, o=o)
+        lines.append(f"{i}. {question}")
+    return "\n".join(lines)
 
 
 def complete(
@@ -250,7 +249,10 @@ def complete(
             chat-completion JSON.
         GatewayError: Any other non-retryable HTTP failure.
     """
-    salt = f"seed={mock_seed}" if cfg.is_mock else ""
+    if cfg.is_mock:
+        salt = f"seed={mock_seed}"
+    else:
+        salt = f"max_tokens={cfg.max_tokens} temperature={cfg.temperature}"
     digest = prompt_digest(cfg.model_name, prompt.rendered, salt)
     if cache is not None:
         hit = cache.get(digest)
@@ -413,12 +415,15 @@ def extract_questions(response: Union[RawResponse, str]) -> list[str]:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """Questions extracted for one (statement, template, provider)."""
+    """Questions extracted for one (statement, template, provider), and
+    whether the response came from the cache."""
 
     statement_ordinal: int
     template_id: str
     provider_id: str
     questions: tuple[str, ...]
+    model_name: str = ""
+    from_cache: bool = False
 
 
 def generate_records(
@@ -435,14 +440,14 @@ def generate_records(
     Requests within one (template, provider) cell run on up to
     ``parallelism`` threads; results are re-assembled in input order, so
     the returned records are always sorted by (statement ordinal,
-    template id, provider id) no matter how requests complete.
+    template id, provider id, model name) no matter how requests complete.
     """
     stmts = list(statements.statements if isinstance(statements, StatementSet) else statements)
     templates = list(templates)
     records: list[GenerationRecord] = []
     for provider in list(providers):
         for template in templates:
-            prompts = [render_prompt(template, st) for st in stmts]
+            rendered = [prompts.render_prompt(template, st) for st in stmts]
 
             def task(p: PromptInstance, _provider=provider) -> GenerationRecord:
                 response = complete(p, _provider, cache, mock_seed=seed)
@@ -451,12 +456,16 @@ def generate_records(
                     template_id=p.template_id,
                     provider_id=_provider.provider_id,
                     questions=tuple(extract_questions(response)),
+                    model_name=_provider.model_name,
+                    from_cache=response.from_cache,
                 )
 
             if parallelism > 1 and not provider.is_mock:
                 with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                    records.extend(pool.map(task, prompts))
+                    records.extend(pool.map(task, rendered))
             else:
-                records.extend(task(p) for p in prompts)
-    records.sort(key=lambda r: (r.statement_ordinal, r.template_id, r.provider_id))
+                records.extend(task(p) for p in rendered)
+    records.sort(
+        key=lambda r: (r.statement_ordinal, r.template_id, r.provider_id, r.model_name)
+    )
     return records

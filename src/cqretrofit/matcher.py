@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import requests
@@ -227,15 +227,6 @@ class MatchReport:
         return [d.text for d in self.design_coverage if not d.matched]
 
 
-def _candidate_texts(
-    candidates: Iterable[Union[CandidateCQ, str]]
-) -> list[str]:
-    texts = []
-    for c in candidates:
-        texts.append(c.text if isinstance(c, CandidateCQ) else c)
-    return texts
-
-
 def match_candidates(
     candidates: Sequence[Union[CandidateCQ, str]],
     design: DesignCQSet,
@@ -251,7 +242,7 @@ def match_candidates(
     if not design.questions:
         raise ValueError("design CQ set is empty")
     tau = cfg.similarity_threshold
-    candidate_texts = _candidate_texts(candidates)
+    candidate_texts = [c.text if isinstance(c, CandidateCQ) else c for c in candidates]
     design_matrix = embed_batch(
         [normalize_question(q) for q in design.questions], cfg
     )
@@ -270,19 +261,24 @@ def match_candidates(
             f"design dimension {design_matrix.shape[1]}"
         )
     sims = candidate_matrix @ design_matrix.T
+    # A zero row (no content tokens) never validates or matches, even at
+    # threshold 0, where its similarity of 0 would reach the threshold.
+    hits = (sims >= tau - SIMILARITY_EPS) & np.outer(
+        candidate_matrix.any(axis=1), design_matrix.any(axis=1)
+    )
+    validated = hits.any(axis=1)
+    matched = hits.any(axis=0)
 
     matches = []
     for i, text in enumerate(candidate_texts):
         j = int(np.argmax(sims[i]))
-        best = float(sims[i, j])
         matches.append(
-            CandidateMatch(i, text, j, best, best >= tau - SIMILARITY_EPS)
+            CandidateMatch(i, text, j, float(sims[i, j]), bool(validated[i]))
         )
     coverage = []
     for j, q in enumerate(design.questions):
         i = int(np.argmax(sims[:, j]))
-        best = float(sims[i, j])
         coverage.append(
-            DesignCoverage(j, q, i, best, best >= tau - SIMILARITY_EPS)
+            DesignCoverage(j, q, i, float(sims[i, j]), bool(matched[j]))
         )
     return MatchReport(tuple(matches), tuple(coverage), tau, cfg.backend.value)

@@ -331,13 +331,6 @@ class ValidationLabels:
 
     entries: tuple[tuple[str, Verdict], ...]
 
-    def verdict_for(self, text: str) -> Optional[Verdict]:
-        normalized = normalize_question(text)
-        for candidate_text, verdict in self.entries:
-            if normalize_question(candidate_text) == normalized:
-                return verdict
-        return None
-
 
 def load_validation_labels(path: Union[str, Path]) -> ValidationLabels:
     """CSV with header ``question,verdict``."""

@@ -423,12 +423,6 @@ def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
     return prefixes[prefix] + "".join(local_chars)
 
 
-def _read_turtle_iri(sc: _Scanner, prefixes: dict) -> Term:
-    if sc.peek() == "<":
-        return Term.iri(_read_iriref(sc))
-    return Term.iri(_read_prefixed_name(sc, prefixes))
-
-
 def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> Term:
     if sc.at_end():
         raise sc.error("expected subject, found end of input")

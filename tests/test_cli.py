@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cqretrofit.cli import load_run_config, main
+from cqretrofit.cli import _build_parser, _config_from_args, load_run_config, main
 
 from conftest import FIXTURES
 
@@ -164,6 +164,16 @@ class TestGenerate:
         )
         assert (out / "questions_P9_mock-small.csv").exists()
 
+    def test_sidecar_counts_cache_hits(self, tmp_path):
+        argv = ["--output-dir", tmp_path / "out", "--cache-dir", tmp_path / "cache"]
+        argv += ["generate", VG, "--templates", "P1"]
+        hits = []
+        for _ in range(2):
+            assert run(argv) == 0
+            sidecar = json.loads((tmp_path / "out" / "questions_P1_mock-small.json").read_text())
+            hits.append(sidecar["cache_hits"])
+        assert hits == [0, 20]
+
     def test_template_file_from_config(self, tmp_path):
         extra = tmp_path / "P9.txt"
         extra.write_text("List questions for <statement>\n")
@@ -171,6 +181,69 @@ class TestGenerate:
         cfg_path.write_text(json.dumps({"templates": ["P1"], "template_file": str(extra)}))
         cfg = load_run_config(cfg_path)
         assert [t.id for t in cfg.resolved_templates()] == ["P1", "P9"]
+
+
+class TestConfig:
+    def test_every_field_loads(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "ontology_paths": [VG],
+                    "providers": [
+                        {"provider_id": "openai", "model_name": "gpt-4", "temperature": 0.2},
+                        {"provider_id": "x", "model_name": "m", "max_tokens": 100},
+                    ],
+                    "filtration": {"strictness": "strict", "primitive_patterns": ["a"]},
+                    "matcher": {"similarity_threshold": 0.5, "request_timeout_s": 5},
+                    "parallelism": 2,
+                    "seed": 9,
+                    "cache_dir": None,
+                }
+            )
+        )
+        cfg = load_run_config(cfg_path)
+        assert cfg.ontology_paths == [VG]
+        assert [(p.model_name, p.max_tokens) for p in cfg.providers] == [
+            ("gpt-4", 8192),
+            ("m", 100),
+        ]
+        assert cfg.providers[0].temperature == 0.2
+        assert cfg.filtration.strictness.value == "strict"
+        assert cfg.filtration.primitive_patterns == ("a",)
+        assert cfg.matcher.request_timeout_s == 5
+        assert (cfg.parallelism, cfg.seed, cfg.cache_dir) == (2, 9, None)
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"filtration": {"dedup_threshold": 80}}, "unknown key filtration.dedup_threshold"),
+            ({"matcher": {"tau": 0.5}}, "unknown key matcher.tau"),
+            ({"providers": [{"provider_id": "x"}]}, "missing required key providers[0].model_name"),
+            ([1, 2], "config must be a JSON object"),
+            ({"filtration": []}, "filtration must be a JSON object"),
+            ({"filtration": {"dedup_ratio_threshold": "high"}}, "filtration.dedup_ratio_threshold"),
+            ({"seed": 1.5}, "seed must be int"),
+            ({"templates": "P1"}, "templates must be a list"),
+            ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
+        ],
+    )
+    def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["--config", cfg_path, "extract", VG]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_tau_keeps_request_timeout_from_config(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"matcher": {"request_timeout_s": 5.0}}))
+        argv = ["--config", str(cfg_path), "evaluate", "--tau", "0.5"]
+        cfg = _config_from_args(_build_parser().parse_args(argv))
+        assert cfg.matcher.similarity_threshold == 0.5
+        assert cfg.matcher.request_timeout_s == 5.0
 
 
 class TestFilterCommand:

@@ -157,17 +157,18 @@ class TestDedup:
         out = dedup(self._mk([q1, q2, q3]), cfg)
         assert [c.kept for c in out] == [True, False, False]
 
-    def test_pools_are_per_template_and_provider(self):
+    def test_pools_are_per_template_provider_and_model(self):
         cands = [
             CandidateCQ("What is X?", 0, "P1", "m"),
             CandidateCQ("What is X?", 1, "P2", "m"),
             CandidateCQ("What is X?", 2, "P1", "other"),
+            CandidateCQ("What is X?", 3, "P1", "m", model_name="gpt-4"),
         ]
         out = dedup(cands)
         assert all(c.kept for c in out)
         cfg = FiltrationConfig(global_dedup=True)
         out_global = dedup(cands, cfg)
-        assert [c.kept for c in out_global] == [True, False, False]
+        assert [c.kept for c in out_global] == [True, False, False, False]
 
     def test_removed_items_are_not_representatives(self):
         cands = [
@@ -188,7 +189,7 @@ def oracle_dedup(candidates, cfg):
             out.append(c)
             continue
         pool = pools.setdefault(
-            () if cfg.global_dedup else (c.template_id, c.provider_id), []
+            () if cfg.global_dedup else (c.template_id, c.provider_id, c.model_name), []
         )
         q = normalize_question(c.text)
         if any(oracle_ratio(q, seen) >= cfg.dedup_ratio_threshold for seen in pool):
@@ -211,14 +212,17 @@ _dedup_text = st.one_of(
     st.text(max_size=40),
 )
 _dedup_candidate = st.builds(
-    lambda text, template, provider, malformed: (
-        CandidateCQ(text, 0, template, provider).removed(RemovalReason.MALFORMED)
+    lambda text, template, provider, model, malformed: (
+        CandidateCQ(text, 0, template, provider, model_name=model).removed(
+            RemovalReason.MALFORMED
+        )
         if malformed
-        else CandidateCQ(text, 0, template, provider)
+        else CandidateCQ(text, 0, template, provider, model_name=model)
     ),
     _dedup_text,
     st.sampled_from(["P1", "P2"]),
     st.sampled_from(["m", "n"]),
+    st.sampled_from(["", "gpt-4"]),
     st.booleans(),
 )
 

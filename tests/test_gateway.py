@@ -1,7 +1,13 @@
+import os
+import stat
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cqretrofit.filtration import filter_questions, kept_questions
 from cqretrofit.gateway import (
     AuthError,
     GenerationRecord,
@@ -9,10 +15,10 @@ from cqretrofit.gateway import (
     ProviderConfig,
     RateLimitError,
     ResponseCache,
+    atomic_write_text,
     complete,
     extract_questions,
     generate_records,
-    mock_generate,
     mock_provider,
     preset_max_tokens,
     prompt_digest,
@@ -49,16 +55,20 @@ class TestProviderConfig:
         assert cfg.api_key_env_var() == "RETROFIT_API_KEY_OPEN_AI_V1"
 
 
+def mock_text(statement, template_id, seed):
+    return complete(render_prompt(template_id, statement), mock_provider(), mock_seed=seed).text
+
+
 class TestMockProvider:
     def test_deterministic_across_calls(self, statements):
-        a = mock_generate(statements[0], "P1", seed=7)
-        b = mock_generate(statements[0], "P1", seed=7)
+        a = mock_text(statements[0], "P1", seed=7)
+        b = mock_text(statements[0], "P1", seed=7)
         assert a == b
 
     def test_numbered_list_of_2_to_5(self, statements):
         for seed in range(5):
             for st_ in statements[:4]:
-                lines = mock_generate(st_, "P2", seed).splitlines()
+                lines = mock_text(st_, "P2", seed).splitlines()
                 assert 2 <= len(lines) <= 5
                 for i, line in enumerate(lines, start=1):
                     assert line.startswith(f"{i}. ")
@@ -66,16 +76,18 @@ class TestMockProvider:
 
     def test_seed_and_template_change_output(self, statements):
         texts = {
-            mock_generate(statements[0], tid, seed)
+            mock_text(statements[0], tid, seed)
             for tid in ("P1", "P2", "P3")
             for seed in range(4)
         }
         assert len(texts) > 1
 
-    def test_complete_mock_matches_mock_generate(self, statements, prompt):
+    def test_complete_mock_asks_about_statement_labels(self, statements, prompt):
         response = complete(prompt, mock_provider(), mock_seed=7)
-        assert response.text == mock_generate(statements[0], "P1", seed=7)
         assert response.from_cache is False
+        st_ = statements[0]
+        for line in response.text.splitlines():
+            assert st_.subject.readable() in line or st_.object.readable() in line
 
 
 class TestCache:
@@ -107,6 +119,57 @@ class TestCache:
         (tmp_path / f"{digest}.json").write_text("{not json")
         response = complete(prompt, mock_provider(), cache)
         assert response.from_cache is False
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_never_raise_or_tear(self, tmp_path):
+        path = tmp_path / "out" / "entry.json"
+        texts = ["a" * 200_000, "b" * 300_000]
+        errors, torn = [], []
+        stop = threading.Event()
+
+        def write(text):
+            try:
+                for _ in range(100):
+                    atomic_write_text(path, text)
+            except Exception as exc:
+                errors.append(exc)
+
+        def read():
+            while not stop.is_set():
+                try:
+                    got = path.read_text(encoding="utf-8")
+                except FileNotFoundError:
+                    continue
+                if got not in texts:
+                    torn.append(len(got))
+
+        writers = [threading.Thread(target=write, args=(t,)) for t in texts]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [reader])
+        assert errors == []
+        assert torn == []
+        assert path.read_text(encoding="utf-8") in texts
+        assert [p.name for p in path.parent.iterdir()] == ["entry.json"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "f.txt"
+        atomic_write_text(path, "x")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 class TestHttpProvider:
@@ -183,6 +246,15 @@ class TestHttpProvider:
             lambda path, body, headers: (200, chat_payload("cut?", finish_reason="length"))
         )
         assert complete(prompt, self._cfg(server.url)).truncated is True
+
+    def test_request_parameters_are_part_of_the_cache_key(self, http_server, prompt, tmp_path):
+        server = http_server(lambda path, body, headers: (200, chat_payload("q?")))
+        cache = ResponseCache(tmp_path)
+        complete(prompt, self._cfg(server.url, temperature=0.2), cache)
+        for changed in ({"temperature": 0.7}, {"temperature": 0.2, "max_tokens": 100}):
+            assert complete(prompt, self._cfg(server.url, **changed), cache).from_cache is False
+        assert complete(prompt, self._cfg(server.url, temperature=0.2), cache).from_cache is True
+        assert server.request_count == 3
 
     def test_cached_http_response_skips_network(self, http_server, prompt, tmp_path):
         server = http_server(lambda path, body, headers: (200, chat_payload("once?")))
@@ -275,6 +347,21 @@ class TestGenerateRecords:
             (p for p in [mock_provider("model-a"), mock_provider("model-b")]),
         )
         assert sorted(r.template_id for r in records) == ["P1", "P1", "P2", "P2"]
+
+    def test_records_carry_model_and_cache_state(self, statements, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for warm in (False, True):
+            records = generate_records(statements[:3], ["P1"], [mock_provider("a")], cache=cache)
+            assert [(r.model_name, r.from_cache) for r in records] == [("a", warm)] * 3
+
+    def test_models_under_one_provider_id_dedup_apart(self, statements):
+        # The mock's text does not depend on the model name, so a second
+        # model repeats the first one's questions in a pool of its own.
+        def kept(models):
+            records = generate_records(statements, ["P1"], [mock_provider(m) for m in models])
+            return kept_questions(filter_questions(records))
+
+        assert len(kept(["a", "b"])) == 2 * len(kept(["a"]))
 
     def test_all_questions_wellformed(self, statements):
         records = generate_records(statements, ["P1"], [mock_provider()], seed=3)

@@ -150,6 +150,14 @@ class TestMatchCandidates:
             assert report.validated_count == len(DESIGN)
             assert report.matched_design_count == len(DESIGN)
 
+    def test_zero_vectors_never_validate_or_match(self):
+        # "What is it?" has only stop words: a zero vector, similarity 0.
+        cfg = MatcherConfig(similarity_threshold=0.0)
+        design = DesignCQSet(("What is a Multiplayer Achievement?", "What is it?"))
+        report = match_candidates(["What is it?", "Which guild?"], design, cfg)
+        assert [m.validated for m in report.candidate_matches] == [False, True]
+        assert [d.matched for d in report.design_coverage] == [True, False]
+
     def test_empty_candidates(self):
         report = match_candidates([], DESIGN, MatcherConfig())
         assert report.validated_count == 0

@@ -282,8 +282,13 @@ class TestLoadValidationLabels:
             '"Bad one?",invalid\n'
         )
         labels = load_validation_labels(path)
-        assert labels.verdict_for("What is X?") is Verdict.VALID
-        assert labels.verdict_for("who is y?") is Verdict.HINDSIGHT_VALID
+        assert labels.entries == (
+            ("What is X?", Verdict.VALID),
+            ("Who is Y?", Verdict.HINDSIGHT_VALID),
+            ("Bad one?", Verdict.INVALID),
+        )
+        assert precision_from_labels(["What is X?", "who is y?"], labels) == 1.0
+        assert precision_from_labels(["bad one?"], labels) == 0.0
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
