@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import logging
 import os
@@ -22,7 +23,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import filtration, gateway, matcher, metrics, ontology, prompts
 
@@ -117,10 +118,10 @@ def _from_json(tp, value, key: str = ""):
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
         cfg = _from_json(RunConfig, raw)
-    except ConfigError as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     # A provider without max_tokens gets its model family's preset.
     if "providers" in raw:
@@ -156,10 +157,25 @@ def _question_row(c: filtration.CandidateCQ) -> dict:
     return {"text": c.text, "status": c.status, "removal_reason": reason}
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_TSV_SPECIAL = re.compile(r"[\\\t\n\r]")
+
+
+def _tsv_row(fields: Sequence[str]) -> str:
+    """One TSV line; a backslash, TAB, LF or CR in a field is written as
+    ``\\\\``, ``\\t``, ``\\n`` or ``\\r``."""
+    # One search per row: translating every field costs several times more.
+    if _TSV_SPECIAL.search("".join(fields)):
+        fields = [f.translate(_TSV_ESCAPES) for f in fields]
+    return "\t".join(fields)
+
+
 def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.StatementSet:
     fmt = format_override or ontology.format_for_path(path)
-    text = Path(path).read_text(encoding="utf-8")
-    raw = ontology.parse_ontology(text, fmt)
+    try:
+        raw = ontology.parse_ontology(Path(path).read_text(encoding="utf-8"), fmt)
+    except (ontology.OntologyError, UnicodeDecodeError) as exc:
+        raise ontology.OntologyError(f"{path}: {exc}") from exc
     return ontology.filter_statements(raw, source_id=Path(path).stem)
 
 
@@ -175,21 +191,20 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
     multi = len(cfg.ontology_paths) > 1
     for path in cfg.ontology_paths:
         sset = _load_statement_set(path, format_override)
-        rows = []
-        for st in sset.statements:
-            rows.append(
-                "\t".join(
-                    [
-                        str(st.ordinal),
-                        st.subject.label or "",
-                        st.predicate.label or "",
-                        st.object.readable() or "",
-                        st.subject.lexical,
-                        st.predicate.lexical,
-                        st.object.lexical,
-                    ]
-                )
+        rows = [
+            _tsv_row(
+                [
+                    str(st.ordinal),
+                    st.subject.label or "",
+                    st.predicate.label or "",
+                    st.object.readable() or "",
+                    st.subject.lexical,
+                    st.predicate.lexical,
+                    st.object.lexical,
+                ]
             )
+            for st in sset.statements
+        ]
         out_path = _ontology_out_dir(cfg, sset.source_id, multi) / "statements.tsv"
         gateway.atomic_write_text(out_path, "\n".join(rows) + ("\n" if rows else ""))
         c = sset.counts
@@ -204,61 +219,83 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
 
 def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[Path]:
     """Per (ontology, template, provider): generate, filter, and write
-    the questions CSV plus its provenance sidecar."""
+    the questions CSV plus its provenance sidecar. With
+    ``cfg.filtration.global_dedup`` an ontology's cells are filtered
+    together, so a question repeated in another cell is a duplicate."""
     cache = gateway.ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
-    templates = cfg.resolved_templates()
+    cells = [(t, p) for t in cfg.resolved_templates() for p in cfg.providers]
     written = []
     multi = len(cfg.ontology_paths) > 1
     for path in cfg.ontology_paths:
         sset = _load_statement_set(path, format_override)
         out_dir = _ontology_out_dir(cfg, sset.source_id, multi)
-        for template in templates:
-            for provider in cfg.providers:
-                try:
-                    records = gateway.generate_records(
-                        sset,
-                        [template],
-                        [provider],
-                        cache=cache,
-                        seed=cfg.seed,
-                        parallelism=cfg.parallelism,
-                    )
-                except gateway.GatewayError as exc:
-                    raise gateway.GatewayError(
-                        f"[ontology={sset.source_id} template={template.id} "
-                        f"provider={provider.provider_id}] {exc}"
-                    ) from exc
-                candidates = filtration.filter_questions(records, cfg.filtration)
-                kept = filtration.kept_questions(candidates)
-                stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
-                csv_path = out_dir / f"{stem}.csv"
-                gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
-                n_questions = sum(len(r.questions) for r in records)
-                sidecar = {
-                    "ontology": sset.source_id,
-                    "template": template.id,
-                    "provider": provider.provider_id,
-                    "model": provider.model_name,
-                    "seed": cfg.seed,
-                    "n_triples": sset.counts.kept,
-                    "ingest_counts": dataclasses.asdict(sset.counts),
-                    "n_questions": n_questions,
-                    "n_candidates": len(kept),
-                    "cache_hits": sum(r.from_cache for r in records),
-                    "questions": [
-                        {**_question_row(c), "statement_ordinal": c.statement_ordinal}
-                        for c in candidates
-                    ],
-                }
-                gateway.atomic_write_text(out_dir / f"{stem}.json", _dump_json(sidecar))
-                written.append(csv_path)
-                logger.info(
-                    "wrote %s (%d kept of %d questions)",
-                    csv_path,
-                    len(kept),
-                    n_questions,
-                )
+        for template, provider, records, candidates in _filtered_cells(cfg, sset, cells, cache):
+            kept = filtration.kept_questions(candidates)
+            stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
+            csv_path = out_dir / f"{stem}.csv"
+            gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
+            n_questions = sum(len(r.questions) for r in records)
+            sidecar = {
+                "ontology": sset.source_id,
+                "template": template.id,
+                "provider": provider.provider_id,
+                "model": provider.model_name,
+                "seed": cfg.seed,
+                "n_triples": sset.counts.kept,
+                "ingest_counts": dataclasses.asdict(sset.counts),
+                "n_questions": n_questions,
+                "n_candidates": len(kept),
+                "cache_hits": sum(r.from_cache for r in records),
+                "questions": [
+                    {**_question_row(c), "statement_ordinal": c.statement_ordinal}
+                    for c in candidates
+                ],
+            }
+            gateway.atomic_write_text(out_dir / f"{stem}.json", _dump_json(sidecar))
+            written.append(csv_path)
+            logger.info(
+                "wrote %s (%d kept of %d questions)", csv_path, len(kept), n_questions
+            )
     return written
+
+
+def _filtered_cells(
+    cfg: RunConfig,
+    sset: ontology.StatementSet,
+    cells: Sequence[tuple[prompts.PromptTemplate, gateway.ProviderConfig]],
+    cache: Optional[gateway.ResponseCache],
+) -> Iterator[tuple]:
+    """(template, provider, records, candidates) per cell, in order. Each
+    cell is generated and filtered as it is reached; with global dedup all
+    cells are generated first and filtered in one pass."""
+    if not cfg.filtration.global_dedup:
+        for template, provider in cells:
+            records = _cell_records(cfg, sset, template, provider, cache)
+            yield template, provider, records, filtration.filter_questions(records, cfg.filtration)
+        return
+    per_cell = [_cell_records(cfg, sset, t, p, cache) for t, p in cells]
+    pooled = iter(filtration.filter_questions([r for rs in per_cell for r in rs], cfg.filtration))
+    for (template, provider), records in zip(cells, per_cell):
+        n_questions = sum(len(r.questions) for r in records)
+        yield template, provider, records, list(itertools.islice(pooled, n_questions))
+
+
+def _cell_records(
+    cfg: RunConfig,
+    sset: ontology.StatementSet,
+    template: prompts.PromptTemplate,
+    provider: gateway.ProviderConfig,
+    cache: Optional[gateway.ResponseCache],
+) -> list[gateway.GenerationRecord]:
+    try:
+        return gateway.generate_records(
+            sset, [template], [provider], cache=cache, seed=cfg.seed, parallelism=cfg.parallelism
+        )
+    except gateway.GatewayError as exc:
+        raise gateway.GatewayError(
+            f"[ontology={sset.source_id} template={template.id} "
+            f"provider={provider.provider_id}] {exc}"
+        ) from exc
 
 
 def run_filter(
@@ -293,7 +330,13 @@ def _read_cell(csv_path: Path) -> dict:
         raise FileNotFoundError(
             f"missing sidecar {sidecar_path} for {csv_path}; re-run generate"
         )
-    meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from None
+    for key in ("n_questions", "n_triples"):
+        if key not in meta:
+            raise ValueError(f"{sidecar_path}: missing key {key!r}")
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [row[0] for row in reader if row]
@@ -419,17 +462,17 @@ def run_evaluate(
     )
     entries = []
     if counts_fixture is not None:
-        for f in json.loads(Path(counts_fixture).read_text(encoding="utf-8")):
+        fixture = json.loads(Path(counts_fixture).read_text(encoding="utf-8"))
+        for i, f in enumerate(fixture):
             n_design = f.get("n_design")
-            tp = f["n_validated"]
-            m = metrics.metrics_from_counts(
-                tp,
-                f["n_candidates"] - tp,
-                f["n_unmatched"],
-                f["n_questions"],
-                f["n_triples"],
-                n_design=n_design,
-            )
+            try:
+                tp = f["n_validated"]
+                counts = (f["n_candidates"] - tp, f["n_unmatched"], f["n_questions"], f["n_triples"])
+            except KeyError as exc:
+                raise ValueError(
+                    f"{counts_fixture}: entry {i}: missing key {exc.args[0]!r}"
+                ) from None
+            m = metrics.metrics_from_counts(tp, *counts, n_design=n_design)
             word_counts = f.get("unmatched_word_counts") if n_design else None
             entries.append(_report_entry(f, m, unmatched_word_counts=word_counts))
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -179,10 +179,14 @@ def is_opaque_label(label: str) -> bool:
     return bool(_UUID_RE.match(label))
 
 
-def _statement_is_opaque(st: Statement) -> bool:
+def _statement_is_opaque(st: Statement, opaque: dict[Optional[str], bool]) -> bool:
+    """``opaque`` holds the verdict per IRI label seen so far."""
     for term in (st.subject, st.predicate, st.object):
         if term.kind is TermKind.IRI:
-            if term.label is None or is_opaque_label(term.label):
+            label = term.label
+            if label not in opaque:
+                opaque[label] = label is None or is_opaque_label(label)
+            if opaque[label]:
                 return True
     return False
 
@@ -200,27 +204,43 @@ def filter_statements(raw: Iterable[Statement], source_id: str = "") -> Statemen
     parsed = 0
     excluded_blank = 0
     excluded_opaque = 0
+    opaque: dict[Optional[str], bool] = {}
     for st in raw:
         parsed += 1
         if st.subject.kind is TermKind.BLANK or st.object.kind is TermKind.BLANK:
             excluded_blank += 1
             continue
-        if _statement_is_opaque(st):
+        if _statement_is_opaque(st, opaque):
             excluded_opaque += 1
             continue
-        kept.append(replace(st, ordinal=len(kept)))
+        kept.append(Statement(st.subject, st.predicate, st.object, len(kept)))
     counts = IngestCounts(parsed, excluded_blank, excluded_opaque, len(kept))
     return StatementSet(tuple(kept), source_id, counts)
 
 
+# Token patterns, each anchored at the scanner's offset. A token that
+# does not match (it holds an escape, or it is malformed) is read again
+# one character at a time, which decodes the escape or raises the error
+# at the offending character.
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_IRIREF = re.compile(r'<([^\n\r "{}|^`<>\\]*)>')
+_STRING = {
+    '"': re.compile(r'"(?!"")([^"\\\n\r]*)"'),
+    "'": re.compile(r"'(?!'')([^'\\\n\r]*)'"),
+}
+_BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_\-]+)")
+_LANGTAG = re.compile(r"@((?:[^\W_]|-)*)")  # [^\W_] is exactly str.isalnum
+_PNAME = re.compile(r"([A-Za-z0-9_\-]*)(?::([A-Za-z0-9_\-%]*(?:\.[A-Za-z0-9_\-%]+)*))?")
+_BOOLEAN = re.compile(r"(?:true|false)(?![A-Za-z0-9_\-:])")
+
+
 class _Scanner:
-    """Character scanner with 1-based line/column tracking."""
+    """Cursor over the document; the 1-based line and column of an
+    offset are worked out only when an error is built."""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
@@ -230,38 +250,29 @@ class _Scanner:
         return self.text[i] if i < len(self.text) else ""
 
     def advance(self) -> str:
-        ch = self.text[self.pos]
         self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+        return self.text[self.pos - 1]
 
-    def checkpoint(self) -> tuple[int, int, int]:
-        return (self.pos, self.line, self.col)
-
-    def restore(self, mark: tuple[int, int, int]) -> None:
-        self.pos, self.line, self.col = mark
+    def match(self, pattern: re.Pattern) -> Optional[re.Match]:
+        """Match ``pattern`` at the cursor and move past the match."""
+        m = pattern.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m
 
     def skip_trivia(self) -> None:
         """Skip whitespace and '#' comments (to end of line)."""
-        while not self.at_end():
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#":
-                while not self.at_end() and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+        self.match(_TRIVIA)
 
-    def error(self, message: str) -> "OntologySyntaxError":
-        return OntologySyntaxError(message, self.line, self.col)
+    def location(self, pos: Optional[int] = None) -> tuple[int, int]:
+        pos = self.pos if pos is None else pos
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+
+    def error(self, message: str, pos: Optional[int] = None) -> "OntologySyntaxError":
+        return OntologySyntaxError(message, *self.location(pos))
 
     def unsupported(self, construct: str) -> "UnsupportedConstructError":
-        return UnsupportedConstructError(construct, self.line, self.col)
+        return UnsupportedConstructError(construct, *self.location())
 
     def expect(self, ch: str, what: str) -> None:
         if self.peek() != ch:
@@ -288,10 +299,19 @@ def _read_unicode_escape(sc: _Scanner, width: int) -> str:
         if not ch or ch not in "0123456789abcdefABCDEF":
             raise sc.error(f"bad unicode escape: expected {width} hex digits")
         digits += sc.advance()
-    return chr(int(digits, 16))
+    code = int(digits, 16)
+    if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        raise sc.error(
+            f"bad unicode escape: U+{code:04X} is not a Unicode scalar value",
+            sc.pos - width - 2,  # at the backslash
+        )
+    return chr(code)
 
 
 def _read_iriref(sc: _Scanner) -> str:
+    m = sc.match(_IRIREF)
+    if m:
+        return m.group(1)
     sc.expect("<", "'<'")
     out: list[str] = []
     while True:
@@ -322,6 +342,9 @@ def _read_iriref(sc: _Scanner) -> str:
 
 def _read_string(sc: _Scanner) -> str:
     quote = sc.peek()
+    m = sc.match(_STRING[quote])
+    if m:
+        return m.group(1)
     sc.advance()
     if sc.peek() == quote and sc.peek(1) == quote:
         raise sc.unsupported("triple-quoted string literal")
@@ -353,36 +376,25 @@ def _read_string(sc: _Scanner) -> str:
         out.append(sc.advance())
 
 
-_BLANK_CHARS = re.compile(r"[A-Za-z0-9_\-]")
-
-
 def _read_blank_label(sc: _Scanner) -> str:
+    m = sc.match(_BLANK_LABEL)
+    if m:
+        return m.group(1)
     sc.expect("_", "'_'")
     sc.expect(":", "':' after '_'")
-    out: list[str] = []
-    while not sc.at_end() and _BLANK_CHARS.match(sc.peek()):
-        out.append(sc.advance())
-    if not out:
-        raise sc.error("empty blank node label")
-    return "".join(out)
+    raise sc.error("empty blank node label")
 
 
-def _read_langtag(sc: _Scanner) -> str:
-    sc.expect("@", "'@'")
-    out: list[str] = []
-    while not sc.at_end() and (sc.peek().isalnum() or sc.peek() == "-"):
-        out.append(sc.advance())
-    tag = "".join(out)
+def _read_langtag(sc: _Scanner) -> None:
+    tag = sc.match(_LANGTAG).group(1)
     if not tag or not tag[0].isalpha():
         raise sc.error("bad language tag")
-    return tag
 
 
-def _finish_literal(sc: _Scanner, lexical: str, prefixes: Optional[dict]) -> Term:
+def _finish_literal(sc: _Scanner, lexical: str, prefixes: Optional[dict]) -> tuple:
     """Consume an optional datatype or language tag, then drop it."""
-    if sc.peek() == "^" and sc.peek(1) == "^":
-        sc.advance()
-        sc.advance()
+    if sc.text.startswith("^^", sc.pos):
+        sc.pos += 2
         if sc.peek() == "<":
             _read_iriref(sc)
         elif prefixes is not None:
@@ -391,39 +403,27 @@ def _finish_literal(sc: _Scanner, lexical: str, prefixes: Optional[dict]) -> Ter
             raise sc.error("expected datatype IRI after '^^'")
     elif sc.peek() == "@":
         _read_langtag(sc)
-    return Term.literal(lexical)
+    return ("literal", lexical)
 
 
 _PNAME_START = re.compile(r"[A-Za-z_]")
 _PNAME_CHARS = re.compile(r"[A-Za-z0-9_\-]")
-_LOCAL_CHARS = re.compile(r"[A-Za-z0-9_\-%]")
 
 
 def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
     """Read ``prefix:local`` and expand it. A trailing dot belongs to
     the statement, not the local name, unless another name char follows."""
-    prefix_chars: list[str] = []
-    while not sc.at_end() and _PNAME_CHARS.match(sc.peek()):
-        prefix_chars.append(sc.advance())
-    if sc.peek() != ":":
-        raise sc.error(f"expected ':' in prefixed name after {''.join(prefix_chars)!r}")
-    sc.advance()
-    prefix = "".join(prefix_chars)
-    local_chars: list[str] = []
-    while not sc.at_end():
-        ch = sc.peek()
-        if _LOCAL_CHARS.match(ch):
-            local_chars.append(sc.advance())
-        elif ch == "." and _LOCAL_CHARS.match(sc.peek(1) or " "):
-            local_chars.append(sc.advance())
-        else:
-            break
+    prefix, local = sc.match(_PNAME).groups()
+    if local is None:
+        raise sc.error(f"expected ':' in prefixed name after {prefix!r}")
     if prefix not in prefixes:
         raise sc.error(f"undeclared prefix {prefix + ':'!r}")
-    return prefixes[prefix] + "".join(local_chars)
+    return prefixes[prefix] + local
 
 
-def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> Term:
+# The readers below return a term as a ``(kind, lexical)`` tuple, which
+# is also its ``Term.key()``; ``parse_ontology`` builds the Terms.
+def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> tuple:
     if sc.at_end():
         raise sc.error("expected subject, found end of input")
     ch = sc.peek()
@@ -432,33 +432,33 @@ def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> Term:
     if ch == "(":
         raise sc.unsupported("collection '()'")
     if ch == "_":
-        return Term.blank(_read_blank_label(sc))
+        return ("blank", _read_blank_label(sc))
     if ch in "\"'":
         raise sc.error("literal not allowed as subject")
     if ch == "<":
         if sc.peek(1) == "<":
             raise sc.unsupported("quoted triple '<<'")
-        return Term.iri(_read_iriref(sc))
+        return ("iri", _read_iriref(sc))
     if _PNAME_START.match(ch) or ch == ":":
-        return Term.iri(_read_prefixed_name(sc, prefixes))
+        return ("iri", _read_prefixed_name(sc, prefixes))
     raise sc.error(f"expected subject, found {ch!r}")
 
 
-def _read_turtle_verb(sc: _Scanner, prefixes: dict) -> Term:
+def _read_turtle_verb(sc: _Scanner, prefixes: dict) -> tuple:
     if sc.at_end():
         raise sc.error("expected predicate, found end of input")
     ch = sc.peek()
     if ch == "a" and not _PNAME_CHARS.match(sc.peek(1) or " ") and sc.peek(1) != ":":
         sc.advance()
-        return Term.iri(RDF_TYPE_IRI)
+        return ("iri", RDF_TYPE_IRI)
     if ch == "<":
-        return Term.iri(_read_iriref(sc))
+        return ("iri", _read_iriref(sc))
     if _PNAME_START.match(ch) or ch == ":":
-        return Term.iri(_read_prefixed_name(sc, prefixes))
+        return ("iri", _read_prefixed_name(sc, prefixes))
     raise sc.error(f"expected predicate, found {ch!r}")
 
 
-def _read_turtle_object(sc: _Scanner, prefixes: dict) -> Term:
+def _read_turtle_object(sc: _Scanner, prefixes: dict) -> tuple:
     if sc.at_end():
         raise sc.error("expected object, found end of input")
     ch = sc.peek()
@@ -469,24 +469,18 @@ def _read_turtle_object(sc: _Scanner, prefixes: dict) -> Term:
     if ch == "<" and sc.peek(1) == "<":
         raise sc.unsupported("quoted triple '<<'")
     if ch == "<":
-        return Term.iri(_read_iriref(sc))
+        return ("iri", _read_iriref(sc))
     if ch == "_":
-        return Term.blank(_read_blank_label(sc))
+        return ("blank", _read_blank_label(sc))
     if ch in "\"'":
         lexical = _read_string(sc)
         return _finish_literal(sc, lexical, prefixes)
     if ch.isdigit() or ch in "+-.":
         raise sc.unsupported("numeric literal shorthand")
     if _PNAME_START.match(ch) or ch == ":":
-        mark = sc.checkpoint()
-        word_chars: list[str] = []
-        while not sc.at_end() and _PNAME_CHARS.match(sc.peek()):
-            word_chars.append(sc.advance())
-        word = "".join(word_chars)
-        if sc.peek() != ":" and word in ("true", "false"):
+        if sc.match(_BOOLEAN):
             raise sc.unsupported("boolean literal shorthand")
-        sc.restore(mark)
-        return Term.iri(_read_prefixed_name(sc, prefixes))
+        return ("iri", _read_prefixed_name(sc, prefixes))
     raise sc.error(f"expected object, found {ch!r}")
 
 
@@ -511,10 +505,10 @@ def _parse_prefix_declaration(sc: _Scanner, prefixes: dict, needs_dot: bool) -> 
         sc.expect(".", "'.' ending the @prefix directive")
 
 
-def _parse_turtle(text: str) -> list[tuple[Term, Term, Term]]:
+def _parse_turtle(text: str) -> list[tuple]:
     sc = _Scanner(text)
     prefixes: dict[str, str] = {}
-    triples: list[tuple[Term, Term, Term]] = []
+    triples: list[tuple] = []
     while True:
         sc.skip_trivia()
         if sc.at_end():
@@ -531,21 +525,20 @@ def _parse_turtle(text: str) -> list[tuple[Term, Term, Term]]:
             raise sc.error(f"unknown directive @{word}")
         if ch == "{":
             raise sc.unsupported("graph block '{'")
-        if ch.isalpha():
-            mark = sc.checkpoint()
+        # Only letters that upper-case to 'P' or 'B' can start PREFIX/BASE.
+        if ch in "pPbB":
+            mark = sc.pos
             word = _read_bare_word(sc)
             if word.upper() == "PREFIX" and sc.peek() != ":":
                 _parse_prefix_declaration(sc, prefixes, needs_dot=False)
                 continue
             if word.upper() == "BASE" and sc.peek() != ":":
                 raise sc.unsupported("BASE directive")
-            sc.restore(mark)
+            sc.pos = mark
         _parse_turtle_statement(sc, prefixes, triples)
 
 
-def _parse_turtle_statement(
-    sc: _Scanner, prefixes: dict, triples: list[tuple[Term, Term, Term]]
-) -> None:
+def _parse_turtle_statement(sc: _Scanner, prefixes: dict, triples: list[tuple]) -> None:
     subject = _read_turtle_subject(sc, prefixes)
     while True:
         sc.skip_trivia()
@@ -573,18 +566,18 @@ def _parse_turtle_statement(
         raise sc.error(f"expected ',', ';' or '.', found {sc.peek()!r}")
 
 
-def _parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
+def _parse_ntriples(text: str) -> list[tuple]:
     sc = _Scanner(text)
-    triples: list[tuple[Term, Term, Term]] = []
+    triples: list[tuple] = []
     while True:
         sc.skip_trivia()
         if sc.at_end():
             return triples
         ch = sc.peek()
         if ch == "<":
-            subject: Term = Term.iri(_read_iriref(sc))
+            subject = ("iri", _read_iriref(sc))
         elif ch == "_":
-            subject = Term.blank(_read_blank_label(sc))
+            subject = ("blank", _read_blank_label(sc))
         elif ch == "@":
             raise sc.error("directives are not allowed in N-Triples")
         else:
@@ -592,13 +585,13 @@ def _parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
         sc.skip_trivia()
         if sc.peek() != "<":
             raise sc.error(f"expected predicate IRI, found {sc.peek()!r}")
-        predicate = Term.iri(_read_iriref(sc))
+        predicate = ("iri", _read_iriref(sc))
         sc.skip_trivia()
         ch = sc.peek()
         if ch == "<":
-            obj: Term = Term.iri(_read_iriref(sc))
+            obj = ("iri", _read_iriref(sc))
         elif ch == "_":
-            obj = Term.blank(_read_blank_label(sc))
+            obj = ("blank", _read_blank_label(sc))
         elif ch == '"':
             lexical = _read_string(sc)
             obj = _finish_literal(sc, lexical, prefixes=None)
@@ -609,6 +602,18 @@ def _parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
         sc.skip_trivia()
         sc.expect(".", "'.' ending the triple")
         triples.append((subject, predicate, obj))
+
+
+_TERM_OF_KIND = {"iri": Term.iri, "literal": Term.literal, "blank": Term.blank}
+
+
+class _Terms(dict):
+    """The one Term of each ``(kind, lexical)`` key met in one parse."""
+
+    def __missing__(self, key: tuple) -> Term:
+        kind, lexical = key
+        term = self[key] = _TERM_OF_KIND[kind](lexical)
+        return term
 
 
 def parse_ontology(source_text: str, format: str) -> list[Statement]:
@@ -633,15 +638,11 @@ def parse_ontology(source_text: str, format: str) -> list[Statement]:
         raw = _parse_turtle(source_text)
     else:
         raise ValueError(f"unknown format {format!r}; use 'ntriples' or 'turtle'")
-    seen: set[tuple] = set()
-    statements: list[Statement] = []
-    for s, p, o in raw:
-        key = (s.key(), p.key(), o.key())
-        if key in seen:
-            continue
-        seen.add(key)
-        statements.append(Statement(s, p, o, ordinal=len(statements)))
-    return statements
+    terms = _Terms()
+    return [
+        Statement(terms[s], terms[p], terms[o], ordinal)
+        for ordinal, (s, p, o) in enumerate(dict.fromkeys(raw))
+    ]
 
 
 _NT_ESCAPES = {
@@ -659,16 +660,21 @@ def _escape_literal(lexical: str) -> str:
     return "".join(_NT_ESCAPES.get(ch, ch) for ch in lexical)
 
 
+# Characters that may not appear raw in an IRIREF: written as \uXXXX.
+_IRI_UNSAFE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
+
 def _term_to_ntriples(term: Term) -> str:
     if term.kind is TermKind.IRI:
-        return f"<{term.lexical}>"
+        return "<" + _IRI_UNSAFE.sub(lambda m: f"\\u{ord(m.group()):04X}", term.lexical) + ">"
     if term.kind is TermKind.BLANK:
         return f"_:{term.lexical}"
     return f'"{_escape_literal(term.lexical)}"'
 
 
 def to_ntriples(statements: Iterable[Statement]) -> str:
-    """Serialize statements as N-Triples text (one triple per line)."""
+    """Serialize statements as N-Triples text (one triple per line).
+    IRI characters that the parser rejects are written as ``\\uXXXX``."""
     lines = [
         f"{_term_to_ntriples(st.subject)} {_term_to_ntriples(st.predicate)} "
         f"{_term_to_ntriples(st.object)} ."

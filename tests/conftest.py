@@ -1,11 +1,18 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples
+# on every run, so a CI failure reproduces; locally examples stay random.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

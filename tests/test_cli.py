@@ -55,6 +55,38 @@ class TestExtract:
         assert run(["--output-dir", tmp_path, "extract", bad]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fields_are_escaped_one_statement_per_row(self, tmp_path):
+        onto = tmp_path / "esc.nt"
+        onto.write_text(
+            '<http://e.org/g#A> <http://e.org/g#p> "tab\\there newline\\nend \\\\ cr\\r" .\n'
+            "<http://e.org/g#A\\u0009B> <http://e.org/g#p> <http://e.org/g#C> .\n"
+        )
+        assert run(["--output-dir", tmp_path, "extract", onto]) == 0
+        rows = (tmp_path / "statements.tsv").read_text().split("\n")
+        assert rows[2] == "" and len(rows) == 3
+        first, second = (row.split("\t") for row in rows[:2])
+        assert len(first) == len(second) == 7
+        assert first[3] == first[6] == "tab\\there newline\\nend \\\\ cr\\r"
+        assert second[1] == "A\\tB" and second[4] == "http://e.org/g#A\\tB"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("<http://e.org/a> <http://e.org/p> .\n", "expected object term, found '.' (line 1, column 35)"),
+            ('<http://e.org/a> <http://e.org/p> "x\\UFFFFFFFF" .\n', "bad unicode escape: U+FFFFFFFF"),
+            ('<http://e.org/a> <http://e.org/p> "x\\U00110000" .\n', "(line 1, column 37)"),
+            ('<http://e.org/a> <http://e.org/p> "x\\uD800" .\n', "bad unicode escape: U+D800"),
+            (b"<http://e.org/a> <http://e.org/p> \"\xff\" .\n", "codec can't decode byte 0xff"),
+        ],
+    )
+    def test_error_names_the_failing_ontology(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.nt"
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert run(["--output-dir", tmp_path, "extract", VG, bad]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert "Traceback" not in err
+
     def test_multi_ontology_subdirectories(self, tmp_path):
         assert (
             run(
@@ -174,6 +206,24 @@ class TestGenerate:
             hits.append(sidecar["cache_hits"])
         assert hits == [0, 20]
 
+    def test_global_dedup_removes_duplicates_across_templates(self, tmp_path):
+        def removals(out):
+            assert run(["--output-dir", out, "--seed", 1, "generate", *flags[out.name], VG]) == 0
+            return {
+                t: [q["removal_reason"] for q in json.loads(
+                    (out / f"questions_{t}_mock-small.json").read_text())["questions"]]
+                for t in ("P1", "P2", "P3")
+            }
+
+        flags = {"cells": [], "pooled": ["--global-dedup"]}
+        cells, pooled = removals(tmp_path / "cells"), removals(tmp_path / "pooled")
+        # The first cell has nothing earlier to repeat; later cells lose
+        # questions that an earlier template already asked.
+        assert pooled["P1"] == cells["P1"]
+        for t in ("P2", "P3"):
+            assert len(pooled[t]) == len(cells[t])
+            assert pooled[t].count("duplicate") > cells[t].count("duplicate")
+
     def test_template_file_from_config(self, tmp_path):
         extra = tmp_path / "P9.txt"
         extra.write_text("List questions for <statement>\n")
@@ -236,6 +286,12 @@ class TestConfig:
         assert err.startswith("error: ")
         assert key in err
         assert "Traceback" not in err
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{bad")
+        assert run(["--config", cfg_path, "extract", VG]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: Expecting property name")
 
     def test_tau_keeps_request_timeout_from_config(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -365,6 +421,18 @@ class TestEvaluate:
         assert fields[8] == "0.9623"
         assert fields[9] == "0.6951"
 
+    @pytest.mark.parametrize(
+        "key", ["n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples"]
+    )
+    def test_counts_fixture_missing_key(self, tmp_path, capsys, key):
+        full = {k: 1 for k in ("n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples")}
+        entry = {k: v for k, v in full.items() if k != key}
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps([full, entry]))
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {fixture}: entry 1: missing key '{key}'\n"
+
     def test_validation_labels_mode(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -427,6 +495,25 @@ class TestEvaluate:
             == 1
         )
         assert "sidecar" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ("n_questions", "missing key 'n_questions'"),
+            ("n_triples", "missing key 'n_triples'"),
+            (None, "Expecting value: line 1 column 1 (char 0)"),
+        ],
+    )
+    def test_bad_sidecar_is_error(self, tmp_path, capsys, key, message):
+        self._generate(tmp_path)
+        sidecar = tmp_path / "out" / "questions_P1_mock-small.json"
+        meta = json.loads(sidecar.read_text())
+        meta.pop(key, None)
+        sidecar.write_text(json.dumps(meta) if key else "")
+        argv = ["--output-dir", tmp_path / "out", "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {sidecar}: {message}\n"
 
 
 class TestReportCommand:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_parser
+
 from cqretrofit.ontology import (
     EmptyLocalNameError,
     OntologyError,
@@ -134,6 +136,28 @@ class TestNTriplesParsing:
             '<http://ex.org/s> <http://ex.org/p> "caf\\u00e9" .', "ntriples"
         )
         assert statements[0].object.lexical == "café"
+
+    @pytest.mark.parametrize(
+        "escape,code",
+        [("\\UFFFFFFFF", "FFFFFFFF"), ("\\U00110000", "110000"), ("\\uD800", "D800")],
+    )
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    def test_out_of_range_unicode_escape_is_located(self, escape, code, fmt):
+        # Above U+10FFFF used to raise OverflowError or a bare ValueError
+        # from chr(); a surrogate parsed and then failed to encode.
+        doc = f'<http://a/s> <http://a/p> "x{escape}" .\n<http://a/s{escape}> <http://a/p> "y" .'
+        with pytest.raises(OntologySyntaxError, match=f"bad unicode escape: U\\+{code} ") as err:
+            parse_ontology(doc, fmt)
+        assert (err.value.line, err.value.column) == (1, 29)
+        with pytest.raises(OntologySyntaxError, match="bad unicode escape") as err:
+            parse_ontology(doc.split("\n")[1], fmt)
+        assert (err.value.line, err.value.column) == (1, 12)
+
+    def test_highest_unicode_escapes_parse(self):
+        doc = '<http://a/s\\U0010FFFF> <http://a/p> "\\uD7FF\\uE000" .'
+        st_ = parse_ontology(doc, "nt")[0]
+        assert st_.subject.lexical == "http://a/s\U0010ffff"
+        assert st_.object.lexical == "\ud7ff\ue000"
 
     def test_syntax_error_has_location(self):
         with pytest.raises(OntologySyntaxError) as err:
@@ -272,6 +296,156 @@ class TestParserFuzz:
             pass
 
 
+def _escaped(text: str) -> str:
+    return "".join(f"\\U{ord(ch):08X}" for ch in text)
+
+
+def _outcome(parse, text: str, fmt: str):
+    """The statements, or the error's class, message and location."""
+    try:
+        return parse(text, fmt)
+    except OntologyError as exc:
+        return (type(exc), str(exc), exc.line, exc.column)
+
+
+_IRI_RAW = st.characters(blacklist_characters='<>"{}|^`\\ \n\r')
+_STRING_ESCAPE = st.sampled_from(["\\t", "\\n", '\\"', "\\'", "\\\\", "\\r", "\\b", "\\f"])
+
+
+@st.composite
+def _escape(draw):
+    """A \\u or \\U escape, now and then of a surrogate or above U+10FFFF."""
+    code = draw(st.integers(0, 0x10FFFF) | st.sampled_from([0xD800, 0xDFFF, 0x110000, 0xFFFFFFFF]))
+    if code <= 0xFFFF and draw(st.booleans()):
+        return f"\\u{code:04X}"
+    return f"\\U{code:08X}"
+
+
+@st.composite
+def _sometimes_escaped(draw, text, escapes):
+    """``text`` with, one time in four, an escape spliced in: a token
+    without a backslash takes the regex path, one with it the walk."""
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(escapes) + text[i:]
+    return text
+
+
+@st.composite
+def _iriref(draw):
+    local = draw(st.text(_IRI_RAW, max_size=6))
+    return f"<http://e/{draw(_sometimes_escaped(local, _escape()))}>"
+
+
+@st.composite
+def _literal(draw, quote='"'):
+    body = draw(st.text(st.characters(blacklist_characters=f"\\\n\r{quote}"), max_size=6))
+    body = draw(_sometimes_escaped(body, _escape() | _STRING_ESCAPE))
+    suffix = draw(st.sampled_from(["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#string>"]))
+    return f"{quote}{body}{quote}{suffix}"
+
+
+# Dots inside, doubled and at the end of a local name: only a dot that a
+# name character follows belongs to the name.
+_PNAME_LOCAL = st.lists(st.sampled_from(["a", "Z9", "_", "-", "%20", ".", ".."]), max_size=4).map("".join)
+_BLANK = st.from_regex(r"_:[A-Za-z0-9_-]{1,4}", fullmatch=True)
+
+
+@st.composite
+def _ntriples_documents(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        s = draw(_iriref() | _BLANK)
+        o = draw(_iriref() | _BLANK | _literal() | st.sampled_from(['""', '"""x"""', "''"]))
+        gap = draw(st.sampled_from([" ", "\t", "  "]))
+        lines.append(f"{s}{gap}{draw(_iriref())}{gap}{o} .{draw(st.sampled_from(['', ' # c']))}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+# Prefix names that collide with keywords, so that ``true:x`` or
+# ``a:b`` reach the readers' keyword checks.
+_PREFIXES = ["ex", "", "true", "false", "a", "prefix", "base"]
+# Terms outside the supported subset, or next to a valid one.
+_ODD_OBJECTS = st.sampled_from(['"""x"""', "'''x'''", '""', "''", "true", "false", "5", "[]"])
+
+
+@st.composite
+def _turtle_documents(draw):
+    declared = draw(st.permutations(_PREFIXES))
+    out = [
+        draw(st.sampled_from([f"@prefix {p}: <http://e/{p}#> .", f"PREFIX {p}: <http://e/{p}#>",
+                              f"prefix {p}:<http://e/{p}#>"]))
+        for p in declared
+    ]
+    name = st.builds("{}:{}".format, st.sampled_from(declared + ["und"]), _PNAME_LOCAL)
+    term = name | _iriref()
+    for _ in range(draw(st.integers(0, 3))):
+        subject = draw(term | _BLANK)
+        pairs = []
+        for _ in range(draw(st.integers(1, 3))):
+            verb = draw(term | st.just("a"))
+            objs = draw(st.lists(term | _BLANK | _literal() | _literal("'") | _ODD_OBJECTS,
+                                 min_size=1, max_size=3))
+            pairs.append(f"{verb} {' , '.join(objs)}")
+        body = " ;\n  ".join(pairs) + draw(st.sampled_from(["", " ;"]))
+        out.append(f"{subject} {body} .")
+    return "\n".join(out)
+
+
+# Characters and pieces that end or break a token.
+_TROUBLE = st.sampled_from(
+    list(" <>\"'{}|^`\\\n\r\t.:;,@_#-%") + ["..", '""', "''", "\\u", "\\U00", "^^", "true"]
+)
+
+
+@st.composite
+def _near_valid(draw, documents):
+    """A generated valid document with one to three pieces spliced in."""
+    doc = draw(documents)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(doc)))
+        doc = doc[:i] + draw(_TROUBLE) + doc[i:]
+    return doc
+
+
+# Generated valid documents per format: N-Triples is also Turtle.
+_VALID_DOCUMENTS = {
+    "nt": _ntriples_documents(),
+    "ttl": st.one_of(_ntriples_documents(), _turtle_documents()),
+}
+
+
+def _assert_same_outcome(text: str, fmt: str) -> None:
+    assert _outcome(parse_ontology, text, fmt) == _outcome(oracle_parser.parse_ontology, text, fmt)
+
+
+class TestParserMatchesOracle:
+    """The regex token readers against the character-by-character
+    reference parser: same statements, or the same error class, message,
+    line and column."""
+
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    @given(text=st.one_of(st.text(), _documents()))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_and_spliced_fixture_text(self, fmt, text):
+        _assert_same_outcome(text, fmt)
+
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_documents(self, fmt, data):
+        valid = _VALID_DOCUMENTS[fmt]
+        doc = data.draw(st.one_of(valid, _near_valid(valid), _near_valid(valid)))
+        _assert_same_outcome(doc, fmt)
+        _assert_same_outcome(doc[: data.draw(st.integers(0, len(doc)))], fmt)
+
+    @pytest.mark.parametrize("name", ["videogame_20.nt", "vicinity_sample.nt", "vicinity_sample.ttl"])
+    def test_fixtures(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        fmt = format_for_path(name)
+        assert parse_ontology(text, fmt) == oracle_parser.parse_ontology(text, fmt)
+
+
 class TestFilterStatements:
     def _iri(self, local):
         return Term.iri(f"http://ex.org/onto#{local}")
@@ -355,6 +529,23 @@ class TestRoundTrip:
         first = parse_ontology(doc, "ntriples")
         second = parse_ontology(to_ntriples(first), "ntriples")
         assert first == second
+
+    def test_iri_with_escaped_space_round_trips(self):
+        # <http://a/s x> was written out raw and could not be read back.
+        doc = "<http://a/s\\u0020x> <http://a/p> <http://a/o> .\n"
+        first = parse_ontology(doc, "ntriples")
+        assert first[0].subject.lexical == "http://a/s x"
+        assert "\\u0020" in to_ntriples(first)
+        assert parse_ontology(to_ntriples(first), "ntriples") == first
+
+    @given(local=st.text(min_size=1), literal=st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_any_iri_and_literal_round_trip(self, local, literal):
+        # Every character written as an escape, so any text makes a valid document.
+        doc = f"<http://a/{_escaped(local)}> <http://a/p> \"{_escaped(literal)}\" .\n"
+        first = parse_ontology(doc, "ntriples")
+        assert (first[0].subject.lexical, first[0].object.lexical) == ("http://a/" + local, literal)
+        assert parse_ontology(to_ntriples(first), "ntriples") == first
 
     def test_escapes_round_trip(self):
         doc = (
