@@ -485,6 +485,7 @@ def run_evaluate(
             raise ValueError(
                 "evaluate needs --design, --validation-labels, or --counts-fixture"
             )
+        design_matrix = None
         for cell in _discover_cells(candidates_dir or out_dir):
             kept = cell["kept_questions"]
             n_questions, n_triples = cell["n_questions"], cell["n_triples"]
@@ -492,7 +493,9 @@ def run_evaluate(
                 m = metrics.metrics_from_counts(0, len(kept), 0, n_questions, n_triples)
                 entry = _report_entry(cell, m, matched=False)
             else:
-                report = matcher.match_candidates(kept, design, cfg.matcher)
+                if design_matrix is None:
+                    design_matrix = matcher.embed_questions(design.questions, cfg.matcher)
+                report = matcher.match_candidates(kept, design, cfg.matcher, design_matrix)
                 m = metrics.compute_metrics(report, n_questions, n_triples)
                 unmatched = report.unmatched_design_questions()
                 entry = _report_entry(

@@ -10,6 +10,7 @@ network calls.
 """
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import logging
@@ -20,6 +21,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -239,7 +241,8 @@ def complete(
     A cache hit returns immediately with ``from_cache=True`` and no
     network call. Transient failures (429, 5xx, timeouts, connection
     resets) are retried up to ``cfg.max_retries`` times with exponential
-    backoff.
+    backoff. A 429 or 503 that carries a valid ``Retry-After`` (seconds
+    or an HTTP-date) waits that long instead, at most ``_BACKOFF_CAP_S``.
 
     Raises:
         AuthError: The endpoint rejected the credential (401/403).
@@ -301,9 +304,12 @@ def _http_complete(
 
     started = time.monotonic()
     last_status: Optional[int] = None
+    retry_after: Optional[float] = None
     for attempt in range(cfg.max_retries + 1):
         if attempt > 0:
-            delay = min(cfg.retry_backoff_s * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
+            delay = retry_after
+            if delay is None:
+                delay = min(cfg.retry_backoff_s * (2 ** (attempt - 1)), _BACKOFF_CAP_S)
             logger.info(
                 "retrying %s (attempt %d/%d) after %.2fs",
                 cfg.provider_id,
@@ -312,6 +318,7 @@ def _http_complete(
                 delay,
             )
             time.sleep(delay)
+        retry_after = None
         try:
             resp = requests.post(
                 cfg.endpoint_url,
@@ -345,6 +352,8 @@ def _http_complete(
             raise GatewayError(
                 f"{cfg.provider_id}: HTTP {resp.status_code}: {resp.text[:200]}"
             )
+        if resp.status_code in (429, 503):
+            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
     if last_status == 429:
         raise RateLimitError(
             f"{cfg.provider_id}: rate limited after {cfg.max_retries + 1} attempts"
@@ -353,6 +362,26 @@ def _http_complete(
         f"{cfg.provider_id}: HTTP {last_status} persisted after "
         f"{cfg.max_retries + 1} attempts"
     )
+
+
+def _retry_after_s(value: Optional[str]) -> Optional[float]:
+    """Seconds a ``Retry-After`` header asks to wait (delta-seconds or an
+    HTTP-date), capped at ``_BACKOFF_CAP_S``; ``None`` when it is absent
+    or unparsable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        delay = float(value)
+    else:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):  # TypeError on Python 3.10
+            return None
+        if when.tzinfo is None:  # "-0000": an HTTP-date is always UTC
+            when = when.replace(tzinfo=timezone.utc)
+        delay = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(delay, 0.0), _BACKOFF_CAP_S)
 
 
 def _parse_completion(

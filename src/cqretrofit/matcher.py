@@ -2,9 +2,14 @@
 
 Questions are embedded as unit vectors and compared by cosine (dot
 product). The default backend is a fully offline lexical fallback:
-feature-hashed bag-of-tokens vectors. A remote sentence-embedding
-service can be plugged in through the ``http_embedding`` backend
-(request ``{"texts": [...]}``, response ``{"vectors": [[...], ...]}``).
+feature-hashed bag-of-tokens vectors (Weinberger et al., "Feature
+Hashing for Large Scale Multitask Learning", ICML 2009). One vectorised
+path, :func:`embed_batch`, builds them for a whole batch; :func:`embed`
+is its one-text case. A remote sentence-embedding service can be
+plugged in through the ``http_embedding`` backend (request
+``{"texts": [...]}``, response ``{"vectors": [[...], ...]}``); a
+response of another shape, or with non-numeric or non-finite values,
+raises :class:`EmbeddingEndpointError`.
 
 A candidate is validated when its best similarity against the design
 set reaches the threshold; a design CQ is matched when some candidate
@@ -17,6 +22,7 @@ import csv
 import hashlib
 import io
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -77,6 +83,8 @@ class MatcherConfig:
         self.backend = MatcherBackend(self.backend)
         if not 0.0 <= self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in [0, 1]")
+        if self.dimension < 1:
+            raise ValueError("dimension must be >= 1")
         if self.backend is MatcherBackend.HTTP_EMBEDDING and not self.endpoint_url:
             raise ValueError("http_embedding backend needs endpoint_url")
 
@@ -118,44 +126,70 @@ def _hash_token(token: str, dimension: int) -> int:
 
 
 def embed(text: str, cfg: Optional[MatcherConfig] = None) -> np.ndarray:
-    """Unit-norm embedding of one text.
-
-    The lexical fallback hashes content tokens (stop words removed) into
-    a fixed-size count vector and L2-normalizes it, so identical token
-    bags give identical vectors regardless of word order.
+    """Unit-norm embedding of one text: ``embed_batch([text], cfg)[0]``.
 
     Raises:
-        EmptyTextError: No content tokens survive tokenization.
+        EmptyTextError: Under the lexical fallback, no content tokens
+            survive tokenization. The ``http_embedding`` backend does not
+            raise it: it returns the endpoint's vector normalized, or a
+            zero vector if the endpoint sent one.
     """
     cfg = cfg or MatcherConfig()
-    if cfg.backend is MatcherBackend.HTTP_EMBEDDING:
-        return embed_batch([text], cfg)[0]
-    tokens = [t for t in _tokenize(text) if t not in _STOP_WORDS]
-    if not tokens:
+    vec = embed_batch([text], cfg)[0]
+    if cfg.backend is MatcherBackend.LEXICAL_FALLBACK and not vec.any():
         raise EmptyTextError(f"no content tokens in {text!r}")
-    vec = np.zeros(cfg.dimension, dtype=np.float64)
-    for token in tokens:
-        vec[_hash_token(token, cfg.dimension)] += 1.0
-    return vec / np.linalg.norm(vec)
+    return vec
 
 
 def embed_batch(texts: Sequence[str], cfg: Optional[MatcherConfig] = None) -> np.ndarray:
     """Embed many texts into one (n, dimension) matrix of unit rows.
 
-    Texts with no content tokens become zero rows under the lexical
-    fallback (they can never validate or match); direct single-text
-    :func:`embed` calls raise instead.
+    The lexical fallback hashes each text's content tokens (stop words
+    removed) into a count vector and L2-normalizes it, so identical
+    token bags give identical rows regardless of word order. The whole
+    batch is one vectorised pass: each distinct token is hashed once,
+    every count is one ``np.bincount`` over ``row * dimension + bucket``
+    and the rows are normalized in place. Counts are small integers, so
+    the sums of squares are exact and a row does not depend on the rest
+    of the batch. Texts with no content tokens become zero rows (they
+    can never validate or match); :func:`embed` raises for them instead.
     """
     cfg = cfg or MatcherConfig()
     if cfg.backend is MatcherBackend.HTTP_EMBEDDING:
         return _embed_http(texts, cfg)
-    rows = np.zeros((len(texts), cfg.dimension), dtype=np.float64)
+    dim = cfg.dimension
+    buckets: dict[str, int] = {}
+    index = array("q")
     for i, text in enumerate(texts):
-        try:
-            rows[i] = embed(text, cfg)
-        except EmptyTextError:
-            pass
+        base = i * dim
+        for token in _tokenize(text):
+            if token in _STOP_WORDS:
+                continue
+            bucket = buckets.get(token)
+            if bucket is None:
+                bucket = buckets[token] = _hash_token(token, dim)
+            index.append(base + bucket)
+    if not index:
+        # bincount of no indices returns int64 even with weights=.
+        return np.zeros((len(texts), dim))
+    # weights= makes bincount return float64 directly: no int64 copy to cast.
+    rows = np.bincount(
+        np.frombuffer(index, dtype=np.int64),
+        weights=np.ones(len(index)),
+        minlength=len(texts) * dim,
+    ).reshape(len(texts), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[norms == 0.0] = 1.0
+    rows /= norms[:, None]
     return rows
+
+
+def embed_questions(
+    questions: Sequence[str], cfg: Optional[MatcherConfig] = None
+) -> np.ndarray:
+    """:func:`embed_batch` of the questions' normalized texts, the form
+    :func:`match_candidates` compares."""
+    return embed_batch([normalize_question(q) for q in questions], cfg)
 
 
 def _embed_http(texts: Sequence[str], cfg: MatcherConfig) -> np.ndarray:
@@ -166,14 +200,24 @@ def _embed_http(texts: Sequence[str], cfg: MatcherConfig) -> np.ndarray:
             timeout=cfg.request_timeout_s,
         )
         resp.raise_for_status()
-        vectors = resp.json()["vectors"]
-    except (requests.RequestException, ValueError, KeyError) as exc:
+        matrix = np.asarray(resp.json()["vectors"])
+    except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+        # ValueError: invalid JSON or ragged vectors; TypeError: a body
+        # that is not a JSON object.
         raise EmbeddingEndpointError(f"embedding endpoint failed: {exc}")
-    matrix = np.asarray(vectors, dtype=np.float64)
+    # Strings, booleans, nulls and nested objects give other dtypes; so do
+    # ragged vectors under numpy < 1.24, which builds an object array.
+    if matrix.dtype.kind not in "iuf":
+        raise EmbeddingEndpointError(
+            f"embedding endpoint returned non-numeric vectors (dtype {matrix.dtype})"
+        )
     if matrix.ndim != 2 or matrix.shape[0] != len(texts):
         raise EmbeddingEndpointError(
-            f"endpoint returned shape {matrix.shape}, expected ({len(texts)}, d)"
+            f"embedding endpoint returned shape {matrix.shape}, expected ({len(texts)}, d)"
         )
+    matrix = matrix.astype(np.float64, copy=False)
+    if not np.isfinite(matrix).all():
+        raise EmbeddingEndpointError("embedding endpoint returned non-finite vector values")
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return matrix / norms
@@ -231,30 +275,37 @@ def match_candidates(
     candidates: Sequence[Union[CandidateCQ, str]],
     design: DesignCQSet,
     cfg: Optional[MatcherConfig] = None,
+    design_matrix: Optional[np.ndarray] = None,
 ) -> MatchReport:
     """Compute the full candidate x design similarity matrix and flag
     validated candidates and matched design CQs at the threshold.
 
-    Both sides are compared on their normalized text. The report is
-    deterministic for fixed inputs and backend.
+    Both sides are compared on their normalized text. ``design_matrix``
+    is ``embed_questions(design.questions, cfg)``; it is computed when
+    omitted, and a caller matching many candidate sets against one
+    design set passes it to embed the design CQs once. Each best index
+    is the first maximum. The report is deterministic for fixed inputs
+    and backend.
     """
     cfg = cfg or MatcherConfig()
     if not design.questions:
         raise ValueError("design CQ set is empty")
     tau = cfg.similarity_threshold
     candidate_texts = [c.text if isinstance(c, CandidateCQ) else c for c in candidates]
-    design_matrix = embed_batch(
-        [normalize_question(q) for q in design.questions], cfg
-    )
+    if design_matrix is None:
+        design_matrix = embed_questions(design.questions, cfg)
+    elif design_matrix.ndim != 2 or design_matrix.shape[0] != len(design):
+        raise ValueError(
+            f"design matrix shape {design_matrix.shape} does not fit "
+            f"{len(design)} design CQs"
+        )
     if not candidate_texts:
         coverage = tuple(
             DesignCoverage(j, q, None, 0.0, False)
             for j, q in enumerate(design.questions)
         )
         return MatchReport((), coverage, tau, cfg.backend.value)
-    candidate_matrix = embed_batch(
-        [normalize_question(t) for t in candidate_texts], cfg
-    )
+    candidate_matrix = embed_questions(candidate_texts, cfg)
     if candidate_matrix.shape[1] != design_matrix.shape[1]:
         raise DimensionMismatchError(
             f"candidate dimension {candidate_matrix.shape[1]} != "
@@ -263,22 +314,30 @@ def match_candidates(
     sims = candidate_matrix @ design_matrix.T
     # A zero row (no content tokens) never validates or matches, even at
     # threshold 0, where its similarity of 0 would reach the threshold.
-    hits = (sims >= tau - SIMILARITY_EPS) & np.outer(
-        candidate_matrix.any(axis=1), design_matrix.any(axis=1)
-    )
-    validated = hits.any(axis=1)
-    matched = hits.any(axis=0)
+    nonzero = np.outer(candidate_matrix.any(axis=1), design_matrix.any(axis=1))
+    # Free the (n, dimension) candidate matrix before argmax(axis=0) makes
+    # its transposed copy of sims, so evaluate's peak memory does not rise.
+    del candidate_matrix
+    hits = (sims >= tau - SIMILARITY_EPS) & nonzero
+    validated = hits.any(axis=1).tolist()
+    matched = hits.any(axis=0).tolist()
 
-    matches = []
-    for i, text in enumerate(candidate_texts):
-        j = int(np.argmax(sims[i]))
-        matches.append(
-            CandidateMatch(i, text, j, float(sims[i, j]), bool(validated[i]))
+    rows = np.arange(len(candidate_texts))
+    best_design = sims.argmax(axis=1)
+    matches = tuple(
+        CandidateMatch(i, text, j, s, v)
+        for i, (text, j, s, v) in enumerate(
+            zip(candidate_texts, best_design.tolist(),
+                sims[rows, best_design].tolist(), validated)
         )
-    coverage = []
-    for j, q in enumerate(design.questions):
-        i = int(np.argmax(sims[:, j]))
-        coverage.append(
-            DesignCoverage(j, q, i, float(sims[i, j]), bool(matched[j]))
+    )
+    columns = np.arange(len(design))
+    best_candidate = sims.argmax(axis=0)
+    coverage = tuple(
+        DesignCoverage(j, q, i, s, m)
+        for j, (q, i, s, m) in enumerate(
+            zip(design.questions, best_candidate.tolist(),
+                sims[best_candidate, columns].tolist(), matched)
         )
-    return MatchReport(tuple(matches), tuple(coverage), tau, cfg.backend.value)
+    )
+    return MatchReport(matches, coverage, tau, cfg.backend.value)

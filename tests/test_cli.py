@@ -276,6 +276,7 @@ class TestConfig:
             ({"seed": 1.5}, "seed must be int"),
             ({"templates": "P1"}, "templates must be a list"),
             ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
+            ({"matcher": {"dimension": 0}}, "matcher: dimension must be >= 1"),
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):

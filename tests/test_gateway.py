@@ -1,13 +1,17 @@
+import email.utils
 import os
 import stat
 import sys
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cqretrofit.filtration import filter_questions, kept_questions
+from cqretrofit import gateway
 from cqretrofit.gateway import (
     AuthError,
     GenerationRecord,
@@ -264,6 +268,85 @@ class TestHttpProvider:
         response = complete(prompt, cfg, cache)
         assert response.from_cache is True
         assert server.request_count == 1
+
+
+class _FakeResponse:
+    def __init__(self, status_code, payload=None, headers=None):
+        self.status_code = status_code
+        self._payload = payload
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
+        self.text = ""
+
+    def json(self):
+        return self._payload
+
+
+def _http_date(offset_s):
+    when = datetime.now(timezone.utc) + timedelta(seconds=offset_s)
+    return email.utils.format_datetime(when, usegmt=True)
+
+
+class TestRetryAfter:
+    """429/503 responses carrying ``Retry-After`` set the retry delay."""
+
+    def _complete(self, monkeypatch, prompt, statuses_and_headers, **kw):
+        responses = [_FakeResponse(s, headers=h) for s, h in statuses_and_headers]
+        responses.append(_FakeResponse(200, chat_payload("q?")))
+        slept = []
+        monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: responses.pop(0))
+        monkeypatch.setattr(gateway.time, "sleep", slept.append)
+        kw.setdefault("max_retries", len(statuses_and_headers))
+        cfg = ProviderConfig(
+            "fake", "fake-model", endpoint_url="http://127.0.0.1:9/v1", retry_backoff_s=0.5, **kw
+        )
+        assert complete(prompt, cfg).text == "q?"
+        assert responses == []
+        return slept
+
+    def test_seconds_replace_the_exponential_delay(self, monkeypatch, prompt):
+        slept = self._complete(
+            monkeypatch, prompt, [(429, {"Retry-After": "7"}), (503, {"retry-after": " 2 "})]
+        )
+        assert slept == [7.0, 2.0]
+
+    def test_delay_is_capped(self, monkeypatch, prompt):
+        slept = self._complete(
+            monkeypatch, prompt,
+            [(429, {"Retry-After": "3600"}), (503, {"Retry-After": _http_date(3600)})],
+        )
+        assert slept == [gateway._BACKOFF_CAP_S] * 2
+
+    def test_http_date(self, monkeypatch, prompt):
+        slept = self._complete(
+            monkeypatch, prompt,
+            [(503, {"Retry-After": _http_date(20)}), (429, {"Retry-After": _http_date(-60)})],
+        )
+        assert 15.0 <= slept[0] <= 20.0
+        assert slept[1] == 0.0
+
+    def test_date_without_zone_is_utc(self, monkeypatch, prompt):
+        when = datetime.now(timezone.utc) + timedelta(seconds=20)
+        value = when.strftime("%a, %d %b %Y %H:%M:%S -0000")
+        slept = self._complete(monkeypatch, prompt, [(429, {"Retry-After": value})])
+        assert 15.0 <= slept[0] <= 20.0
+
+    @pytest.mark.parametrize("value", [None, "", "soon", "-5", "1.5", "1e3", "٣", "Wed, 32 Oct 2015"])
+    def test_absent_or_unparsable_falls_back_to_exponential(self, monkeypatch, prompt, value):
+        headers = {} if value is None else {"Retry-After": value}
+        slept = self._complete(monkeypatch, prompt, [(429, headers), (503, headers)])
+        assert slept == [0.5, 1.0]
+
+    def test_other_retryable_statuses_ignore_it(self, monkeypatch, prompt):
+        slept = self._complete(
+            monkeypatch, prompt, [(500, {"Retry-After": "7"}), (502, {"Retry-After": "7"})]
+        )
+        assert slept == [0.5, 1.0]
+
+    def test_applies_only_to_the_next_retry(self, monkeypatch, prompt):
+        slept = self._complete(
+            monkeypatch, prompt, [(429, {"Retry-After": "7"}), (500, {})]
+        )
+        assert slept == [7.0, 1.0]
 
 
 class TestExtractQuestions:

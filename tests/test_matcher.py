@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqretrofit import cli, matcher
 from cqretrofit.filtration import normalize_question
 from cqretrofit.matcher import (
     DesignCQSet,
@@ -13,10 +14,12 @@ from cqretrofit.matcher import (
     EmptyTextError,
     MatcherBackend,
     MatcherConfig,
+    _STOP_WORDS,
     _hash_token,
     _tokenize,
     embed,
     embed_batch,
+    embed_questions,
     load_design_cqs,
     match_candidates,
     similarity,
@@ -25,19 +28,63 @@ from cqretrofit.matcher import (
 
 # --- independent oracle ---------------------------------------------------
 
+def reference_embed(text, cfg=None):
+    """The lexical embedding one text at a time: a count vector over the
+    hashed content tokens, divided by its norm. Independent of the
+    vectorised bincount path of embed_batch/embed."""
+    cfg = cfg or MatcherConfig()
+    tokens = [t for t in _tokenize(text) if t not in _STOP_WORDS]
+    if not tokens:
+        raise EmptyTextError(f"no content tokens in {text!r}")
+    vec = np.zeros(cfg.dimension, dtype=np.float64)
+    for token in tokens:
+        vec[_hash_token(token, cfg.dimension)] += 1.0
+    return vec / np.linalg.norm(vec)
+
+
+def reference_rows(texts, cfg=None):
+    cfg = cfg or MatcherConfig()
+    rows = np.zeros((len(texts), cfg.dimension), dtype=np.float64)
+    for i, text in enumerate(texts):
+        try:
+            rows[i] = reference_embed(text, cfg)
+        except EmptyTextError:
+            pass
+    return rows
+
+
+def reference_best(candidate_texts, design_texts, cfg):
+    """Best index and similarity per candidate and per design CQ, by a
+    per-row and a per-column np.argmax loop over the similarity matrix."""
+    candidates = reference_rows([normalize_question(t) for t in candidate_texts], cfg)
+    design = reference_rows([normalize_question(t) for t in design_texts], cfg)
+    sims = candidates @ design.T
+    per_candidate = []
+    for i in range(len(candidate_texts)):
+        j = int(np.argmax(sims[i]))
+        per_candidate.append((j, float(sims[i, j])))
+    if not candidate_texts:
+        return [], [(None, 0.0)] * len(design_texts)
+    per_design = []
+    for j in range(len(design_texts)):
+        i = int(np.argmax(sims[:, j]))
+        per_design.append((i, float(sims[i, j])))
+    return per_candidate, per_design
+
+
 def oracle_matrix(candidate_texts, design_texts, cfg):
-    """Similarity matrix via plain Python loops over embed() outputs,
-    independent of the vectorised matmul/argmax path."""
+    """Similarity matrix via plain Python loops over reference_embed()
+    outputs, independent of the vectorised embed/matmul/argmax path."""
     rows = []
     for c in candidate_texts:
         row = []
         try:
-            vc = embed(normalize_question(c), cfg)
+            vc = reference_embed(normalize_question(c), cfg)
         except EmptyTextError:
             vc = None
         for d in design_texts:
             try:
-                vd = embed(normalize_question(d), cfg)
+                vd = reference_embed(normalize_question(d), cfg)
             except EmptyTextError:
                 vd = None
             if vc is None or vd is None:
@@ -58,6 +105,10 @@ def oracle_flags(candidate_texts, design_texts, cfg):
     ]
     return validated, matched
 
+
+# Content words, stop words, a non-ASCII word and repeats, so drawn texts
+# hold repeated tokens, stop-word-only and empty texts, and ties.
+_WORDS = "planet moon orbit guild badge the of what is Überflug ÉTOILE planet".split()
 
 DESIGN = DesignCQSet(
     (
@@ -96,6 +147,38 @@ class TestEmbed:
         rows = embed_batch(["planet?", "the of?"])
         assert np.linalg.norm(rows[0]) == pytest.approx(1.0)
         assert np.linalg.norm(rows[1]) == 0.0
+
+    def test_embed_is_the_one_text_batch(self):
+        cfg = MatcherConfig(dimension=64)
+        for text in ("what is a planet?", "guild guild badge?", "Ünïcode ßtar?"):
+            assert np.array_equal(embed(text, cfg), embed_batch([text], cfg)[0])
+            assert np.array_equal(embed(text, cfg), reference_embed(text, cfg))
+
+    def test_empty_batch(self):
+        for dim in (1, 512):
+            rows = embed_batch([], MatcherConfig(dimension=dim))
+            assert rows.shape == (0, dim) and rows.dtype == np.float64
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([1, 7, 64, 512]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_reference_bitwise(self, texts, dim):
+        cfg = MatcherConfig(dimension=dim)
+        rows = embed_batch(texts, cfg)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, reference_rows(texts, cfg))
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="dimension"):
+            MatcherConfig(dimension=0)
 
     @given(
         st.lists(
@@ -224,6 +307,48 @@ class TestMatchCandidates:
         assert report.candidate_matches[0].validated is False
         assert report.candidate_matches[1].validated is True
 
+    @given(
+        st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), max_size=10),
+        st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), min_size=1, max_size=6),
+        # oracle_flags counts zero rows as hits at threshold 0, where
+        # match_candidates never does (test_zero_vectors_never_validate_or_match).
+        st.sampled_from([0.3, 0.5, 1.0]),
+        st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_best_indices_equal_per_row_argmax_loop(self, candidates, design, tau, dim):
+        cfg = MatcherConfig(similarity_threshold=tau, dimension=dim)
+        report = match_candidates(candidates, DesignCQSet(tuple(design)), cfg)
+        per_candidate, per_design = reference_best(candidates, design, cfg)
+        assert [
+            (m.best_design_index, m.similarity) for m in report.candidate_matches
+        ] == per_candidate
+        assert [
+            (d.best_candidate_index, d.similarity) for d in report.design_coverage
+        ] == per_design
+        validated, matched = (
+            oracle_flags(candidates, design, cfg) if candidates else ([], [False] * len(design))
+        )
+        assert [m.validated for m in report.candidate_matches] == validated
+        assert [d.matched for d in report.design_coverage] == matched
+
+    def test_ties_take_the_first_maximum(self):
+        design = DesignCQSet(("Which guild?", "Which guild?", "What is it?"))
+        report = match_candidates(["guild", "guild", "the of", "moon"], design)
+        assert [m.best_design_index for m in report.candidate_matches] == [0, 0, 0, 0]
+        assert [d.best_candidate_index for d in report.design_coverage] == [0, 0, 0]
+        assert [d.matched for d in report.design_coverage] == [True, True, False]
+
+    def test_precomputed_design_matrix(self):
+        cfg = MatcherConfig(similarity_threshold=0.5)
+        candidates = ["What rewards exist?", "Does every player have a username?"]
+        matrix = embed_questions(DESIGN.questions, cfg)
+        assert match_candidates(candidates, DESIGN, cfg, matrix) == match_candidates(
+            candidates, DESIGN, cfg
+        )
+        with pytest.raises(ValueError, match="design matrix shape"):
+            match_candidates(candidates, DESIGN, cfg, matrix[:2])
+
     def test_reproducible(self):
         candidates = list(DESIGN.questions) + ["Another question about planets?"]
         a = match_candidates(candidates, DESIGN, MatcherConfig())
@@ -244,6 +369,19 @@ class TestDesignCQLoading:
         path.write_text('Questions\n"What is X?"\nWho owns Y?\n')
         design = load_design_cqs(path)
         assert design.questions == ("What is X?", "Who owns Y?")
+
+
+class _FakeEmbeddingResponse:
+    def __init__(self, payload):
+        self._payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        if isinstance(self._payload, Exception):
+            raise self._payload
+        return self._payload
 
 
 class TestHttpEmbeddingBackend:
@@ -291,6 +429,72 @@ class TestHttpEmbeddingBackend:
         server = http_server(lambda path, body, headers: (200, {"vectors": [[1.0]]}))
         with pytest.raises(EmbeddingEndpointError):
             embed_batch(["a?", "b?"], self._cfg(server.url))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"vectors": [[{}]]},
+            {"vectors": [[{}], [{}]]},
+            {"vectors": [[1.0, 2.0], [1.0]]},  # ragged
+            {"vectors": [["a", "b"], ["c", "d"]]},
+            {"vectors": [["1.5", "2"], ["3", "4"]]},  # numbers as strings
+            {"vectors": [[True, False], [False, True]]},
+            {"vectors": [[1.0, 2.0], [3.0, None]]},
+            {"vectors": [[float("nan"), 1.0], [0.0, 1.0]]},
+            {"vectors": [[float("inf"), 1.0], [0.0, 1.0]]},
+            {"vectors": None},
+            {"vectors": [[[1.0]], [[2.0]]]},  # three dimensions
+            [[1.0, 2.0], [3.0, 4.0]],  # a list, not an object
+            "vectors",
+        ],
+    )
+    def test_malformed_vectors_raise_typed_error(self, monkeypatch, payload):
+        monkeypatch.setattr(
+            matcher.requests, "post", lambda *a, **k: _FakeEmbeddingResponse(payload)
+        )
+        with pytest.raises(EmbeddingEndpointError, match="embedding endpoint"):
+            embed_batch(["a?", "b?"], self._cfg("http://127.0.0.1:9/embed"))
+
+    def test_invalid_json_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(
+            matcher.requests, "post",
+            lambda *a, **k: _FakeEmbeddingResponse(ValueError("Expecting value")),
+        )
+        with pytest.raises(EmbeddingEndpointError, match="Expecting value"):
+            embed_batch(["a?"], self._cfg("http://127.0.0.1:9/embed"))
+
+    def test_malformed_vectors_exit_1_without_traceback(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            matcher.requests, "post", lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[{}]]})
+        )
+        design = tmp_path / "design.txt"
+        design.write_text("What is X?\n")
+        argv = ["--output-dir", str(tmp_path), "evaluate", "--design", str(design),
+                "--backend", "http_embedding", "--embedding-url", "http://127.0.0.1:9/embed",
+                "--candidates-dir", str(tmp_path)]
+        (tmp_path / "questions_P1_m.csv").write_text("Questions\nWhat is Y?\n")
+        (tmp_path / "questions_P1_m.json").write_text('{"n_questions": 1, "n_triples": 1}')
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding endpoint returned non-numeric")
+        assert "Traceback" not in err
+
+    def test_integer_vectors_are_accepted(self, monkeypatch):
+        monkeypatch.setattr(
+            matcher.requests, "post",
+            lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[3, 4], [0, 2]]}),
+        )
+        rows = embed_batch(["a?", "b?"], self._cfg("http://127.0.0.1:9/embed"))
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, [[0.6, 0.8], [0.0, 1.0]])
+
+    def test_http_backend_returns_zero_vectors_without_raising(self, monkeypatch):
+        monkeypatch.setattr(
+            matcher.requests, "post",
+            lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[0.0, 0.0]]}),
+        )
+        vec = embed("the of?", self._cfg("http://127.0.0.1:9/embed"))
+        assert np.array_equal(vec, [0.0, 0.0])
 
     def test_endpoint_required(self):
         with pytest.raises(ValueError):
