@@ -65,6 +65,10 @@ class RunConfig:
     seed: int = 0
     template_file: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+
     def resolved_templates(self) -> list[prompts.PromptTemplate]:
         resolved = [prompts.get_template(t) for t in self.templates]
         if self.template_file:
@@ -219,17 +223,30 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
 
 def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[Path]:
     """Per (ontology, template, provider): generate, filter, and write
-    the questions CSV plus its provenance sidecar. With
-    ``cfg.filtration.global_dedup`` an ontology's cells are filtered
+    the questions CSV plus its provenance sidecar. Each ontology's whole
+    (template x provider) grid is generated in one dispatch, so a failing
+    ontology writes no CSVs; its completed responses stay in the cache.
+    With ``cfg.filtration.global_dedup`` an ontology's cells are filtered
     together, so a question repeated in another cell is a duplicate."""
     cache = gateway.ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
-    cells = [(t, p) for t in cfg.resolved_templates() for p in cfg.providers]
+    templates = cfg.resolved_templates()
+    cells = [(t, p) for t in templates for p in cfg.providers]
+    keys = [(t.id, p.provider_id, p.model_name) for t, p in cells]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(
+                "generate: template {}, provider {}, model {} is listed twice".format(*key)
+            )
     written = []
     multi = len(cfg.ontology_paths) > 1
     for path in cfg.ontology_paths:
         sset = _load_statement_set(path, format_override)
         out_dir = _ontology_out_dir(cfg, sset.source_id, multi)
-        for template, provider, records, candidates in _filtered_cells(cfg, sset, cells, cache):
+        grid = gateway.generate_records(
+            sset, templates, cfg.providers,
+            cache=cache, seed=cfg.seed, parallelism=cfg.parallelism,
+        )
+        for template, provider, records, candidates in _filtered_cells(cfg, cells, grid):
             kept = filtration.kept_questions(candidates)
             stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
             csv_path = out_dir / f"{stem}.csv"
@@ -261,41 +278,26 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
 
 def _filtered_cells(
     cfg: RunConfig,
-    sset: ontology.StatementSet,
     cells: Sequence[tuple[prompts.PromptTemplate, gateway.ProviderConfig]],
-    cache: Optional[gateway.ResponseCache],
+    grid: Sequence[gateway.GenerationRecord],
 ) -> Iterator[tuple]:
-    """(template, provider, records, candidates) per cell, in order. Each
-    cell is generated and filtered as it is reached; with global dedup all
-    cells are generated first and filtered in one pass."""
+    """(template, provider, records, candidates) per cell, in order, from
+    the records of one ontology's grid. Each cell is filtered on its own;
+    with global dedup all cells are filtered in one pass."""
+    by_cell: dict[tuple[str, str, str], list[gateway.GenerationRecord]] = {
+        (t.id, p.provider_id, p.model_name): [] for t, p in cells
+    }
+    for r in grid:
+        by_cell[(r.template_id, r.provider_id, r.model_name)].append(r)
+    per_cell = list(by_cell.values())
     if not cfg.filtration.global_dedup:
-        for template, provider in cells:
-            records = _cell_records(cfg, sset, template, provider, cache)
+        for (template, provider), records in zip(cells, per_cell):
             yield template, provider, records, filtration.filter_questions(records, cfg.filtration)
         return
-    per_cell = [_cell_records(cfg, sset, t, p, cache) for t, p in cells]
     pooled = iter(filtration.filter_questions([r for rs in per_cell for r in rs], cfg.filtration))
     for (template, provider), records in zip(cells, per_cell):
         n_questions = sum(len(r.questions) for r in records)
         yield template, provider, records, list(itertools.islice(pooled, n_questions))
-
-
-def _cell_records(
-    cfg: RunConfig,
-    sset: ontology.StatementSet,
-    template: prompts.PromptTemplate,
-    provider: gateway.ProviderConfig,
-    cache: Optional[gateway.ResponseCache],
-) -> list[gateway.GenerationRecord]:
-    try:
-        return gateway.generate_records(
-            sset, [template], [provider], cache=cache, seed=cfg.seed, parallelism=cfg.parallelism
-        )
-    except gateway.GatewayError as exc:
-        raise gateway.GatewayError(
-            f"[ontology={sset.source_id} template={template.id} "
-            f"provider={provider.provider_id}] {exc}"
-        ) from exc
 
 
 def run_filter(

@@ -10,6 +10,7 @@ network calls.
 """
 from __future__ import annotations
 
+import contextlib
 import email.utils
 import hashlib
 import json
@@ -18,6 +19,7 @@ import os
 import random
 import re
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,6 +96,10 @@ class ProviderConfig:
             raise ValueError("max_tokens must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
+        if self.request_timeout_s <= 0:
+            raise ValueError("request_timeout_s must be positive")
 
     @property
     def is_mock(self) -> bool:
@@ -235,6 +241,7 @@ def complete(
     *,
     mock_seed: int = 0,
     api_key: Optional[str] = None,
+    slots: Optional[threading.Semaphore] = None,
 ) -> RawResponse:
     """Resolve one prompt against a provider, cache-first.
 
@@ -243,6 +250,8 @@ def complete(
     resets) are retried up to ``cfg.max_retries`` times with exponential
     backoff. A 429 or 503 that carries a valid ``Retry-After`` (seconds
     or an HTTP-date) waits that long instead, at most ``_BACKOFF_CAP_S``.
+    Each HTTP attempt holds one of ``slots``, when given, for the request
+    alone; the backoff before a retry holds none.
 
     Raises:
         AuthError: The endpoint rejected the credential (401/403).
@@ -273,7 +282,7 @@ def complete(
         truncated = False
         latency_ms = None
     else:
-        text, truncated, latency_ms = _http_complete(prompt, cfg, api_key)
+        text, truncated, latency_ms = _http_complete(prompt, cfg, api_key, slots)
     if cache is not None:
         cache.put(digest, {"model": cfg.model_name, "text": text, "truncated": truncated})
     return RawResponse(
@@ -288,7 +297,10 @@ def complete(
 
 
 def _http_complete(
-    prompt: PromptInstance, cfg: ProviderConfig, api_key: Optional[str]
+    prompt: PromptInstance,
+    cfg: ProviderConfig,
+    api_key: Optional[str],
+    slots: Optional[threading.Semaphore],
 ) -> tuple[str, bool, int]:
     headers = {"Content-Type": "application/json"}
     key = api_key if api_key is not None else os.environ.get(cfg.api_key_env_var())
@@ -302,6 +314,7 @@ def _http_complete(
     if cfg.temperature is not None:
         payload["temperature"] = cfg.temperature
 
+    slot = slots if slots is not None else contextlib.nullcontext()
     started = time.monotonic()
     last_status: Optional[int] = None
     retry_after: Optional[float] = None
@@ -320,12 +333,13 @@ def _http_complete(
             time.sleep(delay)
         retry_after = None
         try:
-            resp = requests.post(
-                cfg.endpoint_url,
-                json=payload,
-                headers=headers,
-                timeout=cfg.request_timeout_s,
-            )
+            with slot:
+                resp = requests.post(
+                    cfg.endpoint_url,
+                    json=payload,
+                    headers=headers,
+                    timeout=cfg.request_timeout_s,
+                )
         except requests.Timeout:
             last_status = None
             if attempt == cfg.max_retries:
@@ -464,36 +478,77 @@ def generate_records(
     seed: int = 0,
     parallelism: int = 4,
 ) -> list[GenerationRecord]:
-    """Run the full (statement x template x provider) product.
+    """Run the full (provider x template x statement) product.
 
-    Requests within one (template, provider) cell run on up to
-    ``parallelism`` threads; results are re-assembled in input order, so
-    the returned records are always sorted by (statement ordinal,
+    Mock prompts run inline. Every HTTP prompt of the product goes through
+    one pool of ``2 * parallelism`` threads, and at most ``parallelism``
+    HTTP attempts, across all templates and providers, are in flight at
+    once. A retry waits out its backoff without holding one of those
+    slots, so up to ``parallelism`` prompts can back off while as many
+    others are sent. Records come back sorted by (statement ordinal,
     template id, provider id, model name) no matter how requests complete.
+
+    The first failing prompt stops dispatch: prompts not yet started are
+    not sent. Its error is re-raised as the same :class:`GatewayError`
+    subclass, prefixed with the ontology (when ``statements`` is a
+    :class:`StatementSet`), template, provider and statement ordinal.
+    Responses completed before the failure stay in ``cache``, so a rerun
+    resumes from them.
+
+    Raises:
+        ValueError: ``parallelism`` is less than 1.
     """
-    stmts = list(statements.statements if isinstance(statements, StatementSet) else statements)
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, not {parallelism}")
+    if isinstance(statements, StatementSet):
+        source = f"ontology={statements.source_id} "
+        statements = statements.statements
+    else:
+        source = ""
+    stmts = list(statements)
     templates = list(templates)
-    records: list[GenerationRecord] = []
-    for provider in list(providers):
-        for template in templates:
-            rendered = [prompts.render_prompt(template, st) for st in stmts]
+    jobs = [
+        (provider, prompts.render_prompt(template, st))
+        for provider in providers
+        for template in templates
+        for st in stmts
+    ]
+    slots = threading.Semaphore(parallelism)
+    failed = threading.Event()
 
-            def task(p: PromptInstance, _provider=provider) -> GenerationRecord:
-                response = complete(p, _provider, cache, mock_seed=seed)
-                return GenerationRecord(
-                    statement_ordinal=p.statement_ordinal,
-                    template_id=p.template_id,
-                    provider_id=_provider.provider_id,
-                    questions=tuple(extract_questions(response)),
-                    model_name=_provider.model_name,
-                    from_cache=response.from_cache,
-                )
+    def record(provider: ProviderConfig, p: PromptInstance) -> GenerationRecord:
+        try:
+            response = complete(p, provider, cache, mock_seed=seed, slots=slots)
+        except GatewayError as exc:
+            raise type(exc)(
+                f"[{source}template={p.template_id} provider={provider.provider_id} "
+                f"statement={p.statement_ordinal}] {exc}"
+            ) from exc
+        return GenerationRecord(
+            statement_ordinal=p.statement_ordinal,
+            template_id=p.template_id,
+            provider_id=provider.provider_id,
+            questions=tuple(extract_questions(response)),
+            model_name=provider.model_name,
+            from_cache=response.from_cache,
+        )
 
-            if parallelism > 1 and not provider.is_mock:
-                with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                    records.extend(pool.map(task, rendered))
-            else:
-                records.extend(task(p) for p in rendered)
+    def pooled(job: tuple[ProviderConfig, PromptInstance]) -> Optional[GenerationRecord]:
+        if failed.is_set():
+            return None  # another prompt failed; its error is raised below
+        try:
+            return record(*job)
+        except BaseException:
+            failed.set()
+            raise
+
+    records = [record(*job) for job in jobs if job[0].is_mock]
+    http_jobs = [job for job in jobs if not job[0].is_mock]
+    if http_jobs:
+        with ThreadPoolExecutor(max_workers=2 * parallelism) as pool:
+            # map raises the first error in input order and cancels the
+            # prompts no thread has started.
+            records.extend(pool.map(pooled, http_jobs))
     records.sort(
         key=lambda r: (r.statement_ordinal, r.template_id, r.provider_id, r.model_name)
     )

@@ -252,18 +252,22 @@ def _brute_force_counts(candidate_texts, design, tau):
 
     cand_vecs = [vec(t) for t in candidate_texts]
     design_vecs = [vec(t) for t in design.questions]
+    # A pair with a zero vector (no content tokens) is never a hit, even
+    # at threshold 0, as in match_candidates.
     matrix = [
         [
-            0.0 if (a is None or b is None) else math.fsum(x * y for x, y in zip(a, b))
+            None if (a is None or b is None) else math.fsum(x * y for x, y in zip(a, b))
             for b in design_vecs
         ]
         for a in cand_vecs
     ]
-    validated = sum(1 for row in matrix if row and max(row) >= tau - 1e-9)
+
+    def hit(sim):
+        return sim is not None and sim >= tau - 1e-9
+
+    validated = sum(1 for row in matrix if any(hit(sim) for sim in row))
     matched = sum(
-        1
-        for j in range(len(design.questions))
-        if matrix and max(matrix[i][j] for i in range(len(matrix))) >= tau - 1e-9
+        1 for j in range(len(design.questions)) if any(hit(row[j]) for row in matrix)
     )
     return validated, matched
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -224,6 +225,29 @@ class TestGenerate:
             assert len(pooled[t]) == len(cells[t])
             assert pooled[t].count("duplicate") > cells[t].count("duplicate")
 
+    def test_repeated_cell_is_an_error(self, tmp_path, capsys):
+        assert run(["--output-dir", tmp_path, "generate", VG, "--templates", "P1", "P1"]) == 1
+        assert "template P1, provider mock, model mock-small is listed twice" in (
+            capsys.readouterr().err
+        )
+
+    def test_gateway_error_names_the_failing_prompt(self, tmp_path, capsys, http_server):
+        server = http_server(lambda path, body, headers: (401, {"error": "no"}))
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "providers": [{"provider_id": "fake", "model_name": "m", "endpoint_url": server.url}],
+            "templates": ["P2"],
+        }))
+        out = tmp_path / "out"
+        assert run(["--config", cfg_path, "--output-dir", out, "generate", VG]) == 1
+        err = capsys.readouterr().err
+        assert re.match(
+            r"error: \[ontology=videogame_20 template=P2 provider=fake statement=\d+\] "
+            r"fake: HTTP 401", err
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_template_file_from_config(self, tmp_path):
         extra = tmp_path / "P9.txt"
         extra.write_text("List questions for <statement>\n")
@@ -277,6 +301,15 @@ class TestConfig:
             ({"templates": "P1"}, "templates must be a list"),
             ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
             ({"matcher": {"dimension": 0}}, "matcher: dimension must be >= 1"),
+            ({"parallelism": 0}, "config: parallelism must be >= 1"),
+            (
+                {"providers": [{"provider_id": "x", "model_name": "m", "retry_backoff_s": -1}]},
+                "providers[0]: retry_backoff_s must be >= 0",
+            ),
+            (
+                {"providers": [{"provider_id": "x", "model_name": "m", "request_timeout_s": 0}]},
+                "providers[0]: request_timeout_s must be positive",
+            ),
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, config, key):
@@ -287,6 +320,14 @@ class TestConfig:
         assert err.startswith("error: ")
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_parallelism_flag_below_one_is_an_error(self, tmp_path, capsys, value):
+        argv = ["--output-dir", tmp_path, "--parallelism", value, "generate", VG]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: parallelism must be >= 1\n"
+        assert not (tmp_path / "questions_P1_mock-small.csv").exists()
 
     def test_invalid_json_names_the_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

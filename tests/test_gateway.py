@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -53,6 +54,15 @@ class TestProviderConfig:
     def test_max_tokens_positive(self):
         with pytest.raises(ValueError):
             ProviderConfig("x", "m", max_tokens=0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("retry_backoff_s", -1), ("request_timeout_s", 0), ("request_timeout_s", -0.5)],
+    )
+    def test_dispatch_settings_in_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProviderConfig("x", "m", **{field: value})
+        ProviderConfig("x", "m", retry_backoff_s=0)
 
     def test_api_key_env_var(self):
         cfg = ProviderConfig("open-ai.v1", "m", endpoint_url="http://x")
@@ -453,3 +463,95 @@ class TestGenerateRecords:
             for q in record.questions:
                 assert q.endswith("?")
                 assert q
+
+    @pytest.mark.parametrize("parallelism", [0, -5])
+    def test_parallelism_below_one_rejected(self, statements, parallelism):
+        with pytest.raises(ValueError, match="parallelism"):
+            generate_records(statements[:1], ["P1"], [mock_provider()], parallelism=parallelism)
+
+
+def _many_statements(n):
+    nt = "".join(
+        f"<http://ex.org/Thing{i}> <http://ex.org/relatesTo> <http://ex.org/Other{i}> .\n"
+        for i in range(n)
+    )
+    return filter_statements(parse_ontology(nt, "ntriples"), "many")
+
+
+class _InFlightProbe:
+    """``http_server`` handler that records, for each request, its arrival
+    time, prompt text and how many requests were in flight with it. The
+    first attempt of each prompt in ``fail_first`` gets a 503."""
+
+    def __init__(self, latency_s=0.05, fail_first=()):
+        self.latency_s = latency_s
+        self.fail_first = set(fail_first)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.arrivals = []  # (time, in flight, prompt text)
+
+    def __call__(self, path, body, headers):
+        text = body["messages"][0]["content"]
+        with self.lock:
+            self.in_flight += 1
+            self.arrivals.append((time.monotonic(), self.in_flight, text))
+            fail = text in self.fail_first
+            self.fail_first.discard(text)
+        time.sleep(self.latency_s)
+        with self.lock:
+            self.in_flight -= 1
+        return (503, {"error": "busy"}) if fail else (200, chat_payload("What is it?"))
+
+    def max_in_flight(self):
+        return max(n for _, n, _ in self.arrivals)
+
+
+class TestDispatch:
+    """generate_records against HTTP providers: one pool, ``parallelism``
+    slots held only while a request is in flight."""
+
+    def _cfg(self, url, **kw):
+        kw.setdefault("retry_backoff_s", 0.3)
+        return ProviderConfig("fake", "fake-model", endpoint_url=url, **kw)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_in_flight_requests_never_exceed_parallelism(self, http_server, statements, parallelism):
+        first = render_prompt("P1", statements[0]).rendered
+        probe = _InFlightProbe(fail_first=[first])
+        server = http_server(probe)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records = generate_records(
+                statements, ["P1", "P2"], [self._cfg(server.url)], parallelism=parallelism
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(records) == 2 * len(statements)
+        assert len(probe.arrivals) == 2 * len(statements) + 1
+        assert probe.max_in_flight() == parallelism
+
+    def test_backoff_releases_its_slot(self, http_server, statements):
+        first = render_prompt("P1", statements[0]).rendered
+        probe = _InFlightProbe(fail_first=[first])
+        server = http_server(probe)
+        generate_records(statements, ["P1", "P2"], [self._cfg(server.url)], parallelism=2)
+        sent, retried = [t for t, _, text in probe.arrivals if text == first]
+        during_backoff = [
+            n for t, n, text in probe.arrivals
+            if sent + probe.latency_s < t < retried and text != first
+        ]
+        # Both slots carry other prompts while prompt 0 waits to retry.
+        assert during_backoff
+        assert max(during_backoff) == 2
+
+    def test_fatal_error_stops_dispatch(self, http_server):
+        sset = _many_statements(40)
+        server = http_server(lambda path, body, headers: (401, {"error": "no"}))
+        with pytest.raises(AuthError) as info:
+            generate_records(sset, ["P1"], [self._cfg(server.url)], parallelism=2)
+        assert server.request_count <= 2 * 2
+        message = str(info.value)
+        assert message.startswith("[ontology=many template=P1 provider=fake statement=")
+        assert "RETROFIT_API_KEY_FAKE" in message
+        assert isinstance(info.value.__cause__, AuthError)

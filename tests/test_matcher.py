@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqretrofit import cli, matcher
@@ -74,7 +74,8 @@ def reference_best(candidate_texts, design_texts, cfg):
 
 def oracle_matrix(candidate_texts, design_texts, cfg):
     """Similarity matrix via plain Python loops over reference_embed()
-    outputs, independent of the vectorised embed/matmul/argmax path."""
+    outputs, independent of the vectorised embed/matmul/argmax path.
+    A pair where either text has no content tokens is ``None``."""
     rows = []
     for c in candidate_texts:
         row = []
@@ -88,7 +89,7 @@ def oracle_matrix(candidate_texts, design_texts, cfg):
             except EmptyTextError:
                 vd = None
             if vc is None or vd is None:
-                row.append(0.0)
+                row.append(None)
             else:
                 row.append(math.fsum(float(x) * float(y) for x, y in zip(vc, vd)))
         rows.append(row)
@@ -96,13 +97,16 @@ def oracle_matrix(candidate_texts, design_texts, cfg):
 
 
 def oracle_flags(candidate_texts, design_texts, cfg):
+    """Validated and matched flags from oracle_matrix(); a pair with a
+    zero vector is never a hit, even at threshold 0."""
     matrix = oracle_matrix(candidate_texts, design_texts, cfg)
     tau = cfg.similarity_threshold
-    validated = [max(row) >= tau - 1e-9 for row in matrix]
-    matched = [
-        max(matrix[i][j] for i in range(len(matrix))) >= tau - 1e-9
-        for j in range(len(design_texts))
-    ]
+
+    def hit(sim):
+        return sim is not None and sim >= tau - 1e-9
+
+    validated = [any(hit(sim) for sim in row) for row in matrix]
+    matched = [any(hit(row[j]) for row in matrix) for j in range(len(design_texts))]
     return validated, matched
 
 
@@ -310,11 +314,10 @@ class TestMatchCandidates:
     @given(
         st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), max_size=10),
         st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), min_size=1, max_size=6),
-        # oracle_flags counts zero rows as hits at threshold 0, where
-        # match_candidates never does (test_zero_vectors_never_validate_or_match).
-        st.sampled_from([0.3, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
         st.sampled_from([1, 7, 64]),
     )
+    @example(["planet"], ["", "planet"], 0.0, 64)
     @settings(max_examples=200, deadline=None)
     def test_best_indices_equal_per_row_argmax_loop(self, candidates, design, tau, dim):
         cfg = MatcherConfig(similarity_threshold=tau, dimension=dim)
@@ -326,9 +329,7 @@ class TestMatchCandidates:
         assert [
             (d.best_candidate_index, d.similarity) for d in report.design_coverage
         ] == per_design
-        validated, matched = (
-            oracle_flags(candidates, design, cfg) if candidates else ([], [False] * len(design))
-        )
+        validated, matched = oracle_flags(candidates, design, cfg)
         assert [m.validated for m in report.candidate_matches] == validated
         assert [d.matched for d in report.design_coverage] == matched
 
