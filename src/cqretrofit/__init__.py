@@ -42,16 +42,12 @@ from .matcher import (
 )
 from .metrics import (
     EvalMetrics,
-    GroundingResult,
     StatsRow,
     ValidationLabels,
-    categorize_unmatched,
     compute_metrics,
-    grounding_check,
     mean_questions_per_triple,
     metrics_from_counts,
     precision_from_labels,
-    statement_vocabulary,
     unmatched_stats,
     word_count,
 )

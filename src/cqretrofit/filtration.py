@@ -80,16 +80,19 @@ class CandidateCQ:
     statement_ordinal: int
     template_id: str
     provider_id: str
-    status: str = "kept"
     removal_reason: Optional[RemovalReason] = None
     model_name: str = ""
 
     @property
     def kept(self) -> bool:
-        return self.status == "kept"
+        return self.removal_reason is None
+
+    @property
+    def status(self) -> str:
+        return "kept" if self.kept else "removed"
 
     def removed(self, reason: RemovalReason) -> "CandidateCQ":
-        return replace(self, status="removed", removal_reason=reason)
+        return replace(self, removal_reason=reason)
 
 
 @dataclass
@@ -113,6 +116,9 @@ class FiltrationConfig:
             ]
         self._primitive_res = tuple(primitive)
         self._narrative_res = tuple(re.compile(p) for p in self.narrative_patterns)
+
+
+_DEFAULT_CONFIG = FiltrationConfig()
 
 
 def load_pattern_file(path: Union[str, Path]) -> tuple[str, ...]:
@@ -203,7 +209,7 @@ def is_duplicate(a: str, b: str, threshold: int = DEFAULT_DEDUP_THRESHOLD) -> bo
 def is_modelling_primitive(q: str, cfg: Optional[FiltrationConfig] = None) -> bool:
     """True when the (normalized) question asks about a modelling
     construct instead of the domain. Always false at strictness=off."""
-    cfg = cfg or _default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     if cfg.strictness is Strictness.OFF:
         return False
     return any(p.search(q) for p in cfg._primitive_res)
@@ -212,20 +218,10 @@ def is_modelling_primitive(q: str, cfg: Optional[FiltrationConfig] = None) -> bo
 def is_subjective_narrative(q: str, cfg: Optional[FiltrationConfig] = None) -> bool:
     """True when the (normalized) question calls for opinion, personal
     habits, or free-form narrative. Always false at strictness=off."""
-    cfg = cfg or _default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     if cfg.strictness is Strictness.OFF:
         return False
     return any(p.search(q) for p in cfg._narrative_res)
-
-
-_DEFAULT_CONFIG: Optional[FiltrationConfig] = None
-
-
-def _default_config() -> FiltrationConfig:
-    global _DEFAULT_CONFIG
-    if _DEFAULT_CONFIG is None:
-        _DEFAULT_CONFIG = FiltrationConfig()
-    return _DEFAULT_CONFIG
 
 
 def _pool_key(c: CandidateCQ, cfg: FiltrationConfig) -> tuple:
@@ -261,7 +257,7 @@ def dedup(
     (template, provider, model); ``cfg.global_dedup`` uses one pool. The
     decisions are those of :func:`is_duplicate` on normalized questions.
     """
-    cfg = cfg or _default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     threshold = cfg.dedup_ratio_threshold
     # Per pool: the set of kept token-sorted forms (an identical form has
     # ratio 100) and each kept form with its match masks.
@@ -298,7 +294,7 @@ def filter_questions(
     (malformed, then duplicate, then modelling-primitive, then
     subjective/narrative). The kept subset is the candidate CQ set.
     """
-    cfg = cfg or _default_config()
+    cfg = cfg or _DEFAULT_CONFIG
     candidates = [
         CandidateCQ(
             q, r.statement_ordinal, r.template_id, r.provider_id, model_name=r.model_name

@@ -68,6 +68,19 @@ class MalformedResponseError(GatewayError):
     pass
 
 
+class _Abandoned(Exception):
+    """A retry given up, unsent, because its dispatch already failed."""
+
+
+class DispatchSlots(threading.Semaphore):
+    """The request slots one dispatch shares among its prompts, and the
+    event its first failing prompt sets."""
+
+    def __init__(self, value: int) -> None:
+        super().__init__(value)
+        self.failed = threading.Event()
+
+
 def preset_max_tokens(model_name: str) -> int:
     """Token ceiling for a model name, by family prefix match."""
     lowered = model_name.lower()
@@ -240,8 +253,7 @@ def complete(
     cache: Optional[ResponseCache] = None,
     *,
     mock_seed: int = 0,
-    api_key: Optional[str] = None,
-    slots: Optional[threading.Semaphore] = None,
+    slots: Optional[DispatchSlots] = None,
 ) -> RawResponse:
     """Resolve one prompt against a provider, cache-first.
 
@@ -251,7 +263,8 @@ def complete(
     backoff. A 429 or 503 that carries a valid ``Retry-After`` (seconds
     or an HTTP-date) waits that long instead, at most ``_BACKOFF_CAP_S``.
     Each HTTP attempt holds one of ``slots``, when given, for the request
-    alone; the backoff before a retry holds none.
+    alone; the backoff before a retry holds none, and ends early when
+    ``slots.failed`` is set, giving the prompt up unsent.
 
     Raises:
         AuthError: The endpoint rejected the credential (401/403).
@@ -282,7 +295,7 @@ def complete(
         truncated = False
         latency_ms = None
     else:
-        text, truncated, latency_ms = _http_complete(prompt, cfg, api_key, slots)
+        text, truncated, latency_ms = _http_complete(prompt, cfg, slots)
     if cache is not None:
         cache.put(digest, {"model": cfg.model_name, "text": text, "truncated": truncated})
     return RawResponse(
@@ -299,11 +312,10 @@ def complete(
 def _http_complete(
     prompt: PromptInstance,
     cfg: ProviderConfig,
-    api_key: Optional[str],
-    slots: Optional[threading.Semaphore],
+    slots: Optional[DispatchSlots],
 ) -> tuple[str, bool, int]:
     headers = {"Content-Type": "application/json"}
-    key = api_key if api_key is not None else os.environ.get(cfg.api_key_env_var())
+    key = os.environ.get(cfg.api_key_env_var())
     if key:
         headers["Authorization"] = f"Bearer {key}"
     payload: dict = {
@@ -330,7 +342,10 @@ def _http_complete(
                 cfg.max_retries,
                 delay,
             )
-            time.sleep(delay)
+            if slots is None:
+                time.sleep(delay)
+            elif slots.failed.wait(delay):
+                raise _Abandoned()
         retry_after = None
         try:
             with slot:
@@ -489,8 +504,9 @@ def generate_records(
     template id, provider id, model name) no matter how requests complete.
 
     The first failing prompt stops dispatch: prompts not yet started are
-    not sent. Its error is re-raised as the same :class:`GatewayError`
-    subclass, prefixed with the ontology (when ``statements`` is a
+    not sent, and prompts waiting out a retry backoff give up unsent. Its
+    error is re-raised as the same :class:`GatewayError` subclass,
+    prefixed with the ontology (when ``statements`` is a
     :class:`StatementSet`), template, provider and statement ordinal.
     Responses completed before the failure stay in ``cache``, so a rerun
     resumes from them.
@@ -513,8 +529,7 @@ def generate_records(
         for template in templates
         for st in stmts
     ]
-    slots = threading.Semaphore(parallelism)
-    failed = threading.Event()
+    slots = DispatchSlots(parallelism)
 
     def record(provider: ProviderConfig, p: PromptInstance) -> GenerationRecord:
         try:
@@ -534,12 +549,14 @@ def generate_records(
         )
 
     def pooled(job: tuple[ProviderConfig, PromptInstance]) -> Optional[GenerationRecord]:
-        if failed.is_set():
+        if slots.failed.is_set():
             return None  # another prompt failed; its error is raised below
         try:
             return record(*job)
+        except _Abandoned:
+            return None  # its backoff ended on another prompt's failure
         except BaseException:
-            failed.set()
+            slots.failed.set()
             raise
 
     records = [record(*job) for job in jobs if job[0].is_mock]

@@ -14,7 +14,10 @@ raises :class:`EmbeddingEndpointError`.
 A candidate is validated when its best similarity against the design
 set reaches the threshold; a design CQ is matched when some candidate
 reaches the threshold against it. Matching is many-to-one: several
-candidates may validate against the same design CQ.
+candidates may validate against the same design CQ. A
+:class:`MatchReport` keeps one :class:`BestMatches` record per side:
+parallel numpy arrays of each question's best index, best similarity and
+hit flag, with no per-question objects.
 """
 from __future__ import annotations
 
@@ -231,44 +234,48 @@ def similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class CandidateMatch:
-    candidate_index: int
-    text: str
-    best_design_index: Optional[int]
-    similarity: float
-    validated: bool
+class BestMatches:
+    """One side of a match report as three parallel arrays, one entry per
+    question of that side, in input order: ``index`` is the first
+    position of its most similar question on the other side,
+    ``similarity`` that similarity, and ``hit`` whether it reaches the
+    threshold against some question on the other side, neither text
+    being a zero row. A candidate hit is validated; a design hit is
+    matched."""
+
+    index: np.ndarray
+    similarity: np.ndarray
+    hit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def count(self) -> int:
+        """How many questions of this side are hits."""
+        return int(np.count_nonzero(self.hit))
 
 
-@dataclass(frozen=True)
-class DesignCoverage:
-    design_index: int
-    text: str
-    best_candidate_index: Optional[int]
-    similarity: float
-    matched: bool
+def _best_per_row(sims: np.ndarray, hits: np.ndarray) -> BestMatches:
+    index = sims.argmax(axis=1)
+    return BestMatches(index, sims[np.arange(len(index)), index], hits.any(axis=1))
 
 
 @dataclass(frozen=True)
 class MatchReport:
-    candidate_matches: tuple[CandidateMatch, ...]
-    design_coverage: tuple[DesignCoverage, ...]
+    candidate_matches: BestMatches
+    design_coverage: BestMatches
+    design_questions: tuple[str, ...]
     similarity_threshold: float
     backend: str
 
     @property
     def validated_count(self) -> int:
-        return sum(1 for m in self.candidate_matches if m.validated)
-
-    @property
-    def matched_design_count(self) -> int:
-        return sum(1 for d in self.design_coverage if d.matched)
-
-    @property
-    def unmatched_design_count(self) -> int:
-        return sum(1 for d in self.design_coverage if not d.matched)
+        return self.candidate_matches.count
 
     def unmatched_design_questions(self) -> list[str]:
-        return [d.text for d in self.design_coverage if not d.matched]
+        hits = self.design_coverage.hit.tolist()
+        return [q for q, hit in zip(self.design_questions, hits) if not hit]
 
 
 def match_candidates(
@@ -284,8 +291,9 @@ def match_candidates(
     is ``embed_questions(design.questions, cfg)``; it is computed when
     omitted, and a caller matching many candidate sets against one
     design set passes it to embed the design CQs once. Each best index
-    is the first maximum. The report is deterministic for fixed inputs
-    and backend.
+    is the first maximum. With no candidates, every design CQ has index
+    -1, similarity 0.0 and no hit. The report is deterministic for fixed
+    inputs and backend.
     """
     cfg = cfg or MatcherConfig()
     if not design.questions:
@@ -300,11 +308,12 @@ def match_candidates(
             f"{len(design)} design CQs"
         )
     if not candidate_texts:
-        coverage = tuple(
-            DesignCoverage(j, q, None, 0.0, False)
-            for j, q in enumerate(design.questions)
+        n = len(design)
+        empty = np.zeros((0, n))
+        coverage = BestMatches(np.full(n, -1), np.zeros(n), np.zeros(n, dtype=bool))
+        return MatchReport(
+            _best_per_row(empty, empty), coverage, design.questions, tau, cfg.backend.value
         )
-        return MatchReport((), coverage, tau, cfg.backend.value)
     candidate_matrix = embed_questions(candidate_texts, cfg)
     if candidate_matrix.shape[1] != design_matrix.shape[1]:
         raise DimensionMismatchError(
@@ -315,29 +324,15 @@ def match_candidates(
     # A zero row (no content tokens) never validates or matches, even at
     # threshold 0, where its similarity of 0 would reach the threshold.
     nonzero = np.outer(candidate_matrix.any(axis=1), design_matrix.any(axis=1))
-    # Free the (n, dimension) candidate matrix before argmax(axis=0) makes
-    # its transposed copy of sims, so evaluate's peak memory does not rise.
+    # Free the (n, dimension) candidate matrix before the design side's
+    # argmax makes its transposed copy of sims, so evaluate's peak memory
+    # does not rise.
     del candidate_matrix
     hits = (sims >= tau - SIMILARITY_EPS) & nonzero
-    validated = hits.any(axis=1).tolist()
-    matched = hits.any(axis=0).tolist()
-
-    rows = np.arange(len(candidate_texts))
-    best_design = sims.argmax(axis=1)
-    matches = tuple(
-        CandidateMatch(i, text, j, s, v)
-        for i, (text, j, s, v) in enumerate(
-            zip(candidate_texts, best_design.tolist(),
-                sims[rows, best_design].tolist(), validated)
-        )
+    return MatchReport(
+        _best_per_row(sims, hits),
+        _best_per_row(sims.T, hits.T),
+        design.questions,
+        tau,
+        cfg.backend.value,
     )
-    columns = np.arange(len(design))
-    best_candidate = sims.argmax(axis=0)
-    coverage = tuple(
-        DesignCoverage(j, q, i, s, m)
-        for j, (q, i, s, m) in enumerate(
-            zip(design.questions, best_candidate.tolist(),
-                sims[best_candidate, columns].tolist(), matched)
-        )
-    )
-    return MatchReport(matches, coverage, tau, cfg.backend.value)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -123,10 +122,9 @@ def compute_metrics(
     """Metrics for one (template, provider) cell from its match report."""
     tp = report.validated_count
     fp = len(report.candidate_matches) - tp
-    fn = report.unmatched_design_count
-    return metrics_from_counts(
-        tp, fp, fn, n_questions, n_triples, n_design=len(report.design_coverage)
-    )
+    n_design = len(report.design_coverage)
+    fn = n_design - report.design_coverage.count
+    return metrics_from_counts(tp, fp, fn, n_questions, n_triples, n_design=n_design)
 
 
 def word_count(question: str) -> int:
@@ -213,110 +211,6 @@ def unmatched_stats(word_counts: Iterable[int], n_design: int) -> StatsRow:
         p50=percentile_linear(values, 0.50),
         max=values[-1],
     )
-
-
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9'\-]*")
-
-# Function words skipped by the grounding check; everything else in a
-# question is expected to occur in the ontology vocabulary.
-_GROUNDING_STOP_WORDS = frozenset(
-    """a an the is are was were be been being do does did done has have had
-    what which who whom whose how when where why can could would should will
-    shall may might must of in on at to for with and or not no nor from by
-    about into over under between among as if then than that this these those
-    there here it its itself they them their his her hers he she you your i
-    we our us any all some each every much many more other another such only
-    also very there's what's""".split()
-)
-
-
-@dataclass(frozen=True)
-class GroundingResult:
-    cq_text: str
-    ungrounded_terms: tuple[str, ...]
-
-    @property
-    def grounded(self) -> bool:
-        return not self.ungrounded_terms
-
-
-def build_vocabulary(labels: Iterable[str]) -> frozenset[str]:
-    """Vocabulary of label tokens: lowercased and underscore-split."""
-    vocab = set()
-    for label in labels:
-        for part in label.lower().split("_"):
-            for token in _WORD_RE.findall(part):
-                vocab.add(token)
-    return frozenset(vocab)
-
-
-def statement_vocabulary(statements) -> frozenset[str]:
-    """Vocabulary over every readable label in a statement set."""
-    labels = []
-    for st in statements.statements if hasattr(statements, "statements") else statements:
-        for term in (st.subject, st.predicate, st.object):
-            label = term.readable()
-            if label:
-                labels.append(label)
-    return build_vocabulary(labels)
-
-
-def _vocabulary_has(vocabulary: frozenset[str], token: str) -> bool:
-    # light plural folding so "planets" grounds against label "Planet"
-    if token in vocabulary:
-        return True
-    if token.endswith("es") and token[:-2] in vocabulary:
-        return True
-    if token.endswith("s") and token[:-1] in vocabulary:
-        return True
-    return token + "s" in vocabulary
-
-
-def grounding_check(cq: str, vocabulary: frozenset[str]) -> GroundingResult:
-    """Report question terms that do not occur in the ontology
-    vocabulary (content tokens only; function words are skipped)."""
-    ungrounded = []
-    for token in _WORD_RE.findall(cq):
-        lowered = token.lower()
-        if lowered in _GROUNDING_STOP_WORDS:
-            continue
-        if not _vocabulary_has(vocabulary, lowered):
-            ungrounded.append(token)
-    return GroundingResult(cq, tuple(ungrounded))
-
-
-class UnmatchedCategory(str, Enum):
-    AGGREGATION = "aggregation"
-    UNGROUNDED = "ungrounded"
-
-
-_AGGREGATION_PATTERNS = tuple(
-    re.compile(p)
-    for p in (
-        r"\btop\s+\d+\b",
-        r"\btop\s+(one|two|three|four|five|ten)\b",
-        r"\bhow many\b",
-        r"\baverage\b",
-        r"\btotal\b",
-        r"\bmost\b",
-        r"\bleast\b",
-    )
-)
-
-
-def categorize_unmatched(
-    cq: str, vocabulary: frozenset[str]
-) -> set[UnmatchedCategory]:
-    """Heuristic categories for an unmatched design CQ: needs
-    aggregation/calculation, and/or mentions terms absent from the
-    ontology. May be empty."""
-    categories: set[UnmatchedCategory] = set()
-    lowered = cq.lower()
-    if any(p.search(lowered) for p in _AGGREGATION_PATTERNS):
-        categories.add(UnmatchedCategory.AGGREGATION)
-    if not grounding_check(cq, vocabulary).grounded:
-        categories.add(UnmatchedCategory.UNGROUNDED)
-    return categories
 
 
 class Verdict(str, Enum):

@@ -112,9 +112,6 @@ class Statement:
     object: Term
     ordinal: int
 
-    def key(self) -> tuple:
-        return (self.subject.key(), self.predicate.key(), self.object.key())
-
 
 @dataclass(frozen=True)
 class IngestCounts:

@@ -22,7 +22,8 @@ def fixtures_dir() -> Path:
 
 class _Server:
     """Tiny HTTP test double; the handler function maps a JSON request
-    body to (status, payload) and requests are counted."""
+    body to (status, payload) or (status, payload, response headers) and
+    requests are counted."""
 
     def __init__(self, handler):
         self.handler = handler
@@ -34,7 +35,7 @@ class _Server:
                 outer.request_count += 1
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
-                status, payload = outer.handler(self.path, body, dict(self.headers))
+                status, payload, *extra = outer.handler(self.path, body, dict(self.headers))
                 data = (
                     payload.encode("utf-8")
                     if isinstance(payload, str)
@@ -43,6 +44,8 @@ class _Server:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 

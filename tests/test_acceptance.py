@@ -279,12 +279,12 @@ def test_criterion_6_synthetic_recall_oracle():
         cfg = MatcherConfig(similarity_threshold=tau)
         report = match_candidates(candidates, design, cfg)
         m = compute_metrics(report, n_questions=len(candidates), n_triples=14)
-        assert report.matched_design_count == len(design.questions), tau
+        assert report.design_coverage.count == len(design.questions), tau
         assert m.fn == 0
         assert m.recall == 1.0, tau
         brute_validated, brute_matched = _brute_force_counts(candidates, design, tau)
         assert report.validated_count == brute_validated
-        assert report.matched_design_count == brute_matched
+        assert report.design_coverage.count == brute_matched
 
     # dropping k design-matching candidates loses exactly k validations
     tau = 0.99

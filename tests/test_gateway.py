@@ -555,3 +555,29 @@ class TestDispatch:
         assert message.startswith("[ontology=many template=P1 provider=fake statement=")
         assert "RETROFIT_API_KEY_FAKE" in message
         assert isinstance(info.value.__cause__, AuthError)
+
+    def test_fatal_error_ends_other_prompts_backoff(self, http_server):
+        sset = _many_statements(10)
+        waiting = render_prompt("P1", sset.statements[1]).rendered
+        sent = []
+
+        def handler(path, body, headers):
+            text = body["messages"][0]["content"]
+            sent.append(text)
+            if text == waiting:
+                return 503, {"error": "busy"}, {"Retry-After": "3"}
+            time.sleep(0.2)  # so the 503 prompt is sent before the first 401
+            return 401, {"error": "no"}
+
+        server = http_server(handler)
+        started = time.monotonic()
+        with pytest.raises(AuthError) as info:
+            generate_records(
+                sset, ["P1"], [self._cfg(server.url, max_retries=3)], parallelism=2
+            )
+        assert time.monotonic() - started < 2.5
+        # The 503 prompt backed off once and gave up without a retry.
+        assert sent.count(waiting) == 1
+        message = str(info.value)
+        assert message.startswith("[ontology=many template=P1 provider=fake statement=0] ")
+        assert "RETROFIT_API_KEY_FAKE" in message

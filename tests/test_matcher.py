@@ -64,7 +64,7 @@ def reference_best(candidate_texts, design_texts, cfg):
         j = int(np.argmax(sims[i]))
         per_candidate.append((j, float(sims[i, j])))
     if not candidate_texts:
-        return [], [(None, 0.0)] * len(design_texts)
+        return [], [(-1, 0.0)] * len(design_texts)
     per_design = []
     for j in range(len(design_texts)):
         i = int(np.argmax(sims[:, j]))
@@ -229,28 +229,47 @@ class TestSimilarity:
                 assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
 
 
+def _pairs(side):
+    """(best index, similarity) per question of one report side."""
+    return list(zip(side.index.tolist(), side.similarity.tolist()))
+
+
+def _same(a, b):
+    """Two match reports hold equal arrays and equal scalar fields."""
+    sides = ("candidate_matches", "design_coverage")
+    return all(
+        np.array_equal(getattr(getattr(a, s), f), getattr(getattr(b, s), f))
+        for s in sides
+        for f in ("index", "similarity", "hit")
+    ) and (a.design_questions, a.similarity_threshold, a.backend) == (
+        b.design_questions, b.similarity_threshold, b.backend
+    )
+
+
 class TestMatchCandidates:
     def test_verbatim_candidates_all_validated_any_tau(self):
         for tau in (0.1, 0.5, 0.9, 1.0):
             cfg = MatcherConfig(similarity_threshold=tau)
             report = match_candidates(list(DESIGN.questions), DESIGN, cfg)
             assert report.validated_count == len(DESIGN)
-            assert report.matched_design_count == len(DESIGN)
+            assert report.design_coverage.count == len(DESIGN)
 
     def test_zero_vectors_never_validate_or_match(self):
         # "What is it?" has only stop words: a zero vector, similarity 0.
         cfg = MatcherConfig(similarity_threshold=0.0)
         design = DesignCQSet(("What is a Multiplayer Achievement?", "What is it?"))
         report = match_candidates(["What is it?", "Which guild?"], design, cfg)
-        assert [m.validated for m in report.candidate_matches] == [False, True]
-        assert [d.matched for d in report.design_coverage] == [True, False]
+        assert report.candidate_matches.hit.tolist() == [False, True]
+        assert report.design_coverage.hit.tolist() == [True, False]
 
     def test_empty_candidates(self):
         report = match_candidates([], DESIGN, MatcherConfig())
         assert report.validated_count == 0
-        assert report.matched_design_count == 0
+        assert len(report.candidate_matches) == 0
+        assert report.design_coverage.count == 0
         assert len(report.design_coverage) == len(DESIGN)
-        assert all(not d.matched for d in report.design_coverage)
+        assert report.design_coverage.index.tolist() == [-1] * len(DESIGN)
+        assert report.design_coverage.similarity.tolist() == [0.0] * len(DESIGN)
         assert report.unmatched_design_questions() == list(DESIGN.questions)
 
     def test_one_unrelated_candidate_at_high_tau(self):
@@ -260,8 +279,8 @@ class TestMatchCandidates:
         ]
         report = match_candidates(candidates, DESIGN, cfg)
         validated, matched = oracle_flags(candidates, DESIGN.questions, cfg)
-        assert [m.validated for m in report.candidate_matches] == validated
-        assert [d.matched for d in report.design_coverage] == matched
+        assert report.candidate_matches.hit.tolist() == validated
+        assert report.design_coverage.hit.tolist() == matched
         assert report.validated_count == len(DESIGN)  # exactly one unvalidated
 
     def test_flags_match_bruteforce_oracle(self):
@@ -276,8 +295,8 @@ class TestMatchCandidates:
             cfg = MatcherConfig(similarity_threshold=tau)
             report = match_candidates(candidates, DESIGN, cfg)
             validated, matched = oracle_flags(candidates, DESIGN.questions, cfg)
-            assert [m.validated for m in report.candidate_matches] == validated
-            assert [d.matched for d in report.design_coverage] == matched
+            assert report.candidate_matches.hit.tolist() == validated
+            assert report.design_coverage.hit.tolist() == matched
 
     def test_tau_monotonicity(self):
         candidates = [
@@ -294,9 +313,9 @@ class TestMatchCandidates:
             )
             if previous_validated is not None:
                 assert report.validated_count <= previous_validated
-                assert report.matched_design_count <= previous_matched
+                assert report.design_coverage.count <= previous_matched
             previous_validated = report.validated_count
-            previous_matched = report.matched_design_count
+            previous_matched = report.design_coverage.count
 
     def test_empty_design_set_rejected(self):
         with pytest.raises(ValueError):
@@ -308,8 +327,7 @@ class TestMatchCandidates:
             DESIGN,
             MatcherConfig(similarity_threshold=0.1),
         )
-        assert report.candidate_matches[0].validated is False
-        assert report.candidate_matches[1].validated is True
+        assert report.candidate_matches.hit.tolist() == [False, True]
 
     @given(
         st.lists(st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join), max_size=10),
@@ -323,29 +341,26 @@ class TestMatchCandidates:
         cfg = MatcherConfig(similarity_threshold=tau, dimension=dim)
         report = match_candidates(candidates, DesignCQSet(tuple(design)), cfg)
         per_candidate, per_design = reference_best(candidates, design, cfg)
-        assert [
-            (m.best_design_index, m.similarity) for m in report.candidate_matches
-        ] == per_candidate
-        assert [
-            (d.best_candidate_index, d.similarity) for d in report.design_coverage
-        ] == per_design
+        assert _pairs(report.candidate_matches) == per_candidate
+        assert _pairs(report.design_coverage) == per_design
         validated, matched = oracle_flags(candidates, design, cfg)
-        assert [m.validated for m in report.candidate_matches] == validated
-        assert [d.matched for d in report.design_coverage] == matched
+        assert report.candidate_matches.hit.tolist() == validated
+        assert report.design_coverage.hit.tolist() == matched
 
     def test_ties_take_the_first_maximum(self):
         design = DesignCQSet(("Which guild?", "Which guild?", "What is it?"))
         report = match_candidates(["guild", "guild", "the of", "moon"], design)
-        assert [m.best_design_index for m in report.candidate_matches] == [0, 0, 0, 0]
-        assert [d.best_candidate_index for d in report.design_coverage] == [0, 0, 0]
-        assert [d.matched for d in report.design_coverage] == [True, True, False]
+        assert report.candidate_matches.index.tolist() == [0, 0, 0, 0]
+        assert report.design_coverage.index.tolist() == [0, 0, 0]
+        assert report.design_coverage.hit.tolist() == [True, True, False]
 
     def test_precomputed_design_matrix(self):
         cfg = MatcherConfig(similarity_threshold=0.5)
         candidates = ["What rewards exist?", "Does every player have a username?"]
         matrix = embed_questions(DESIGN.questions, cfg)
-        assert match_candidates(candidates, DESIGN, cfg, matrix) == match_candidates(
-            candidates, DESIGN, cfg
+        assert _same(
+            match_candidates(candidates, DESIGN, cfg, matrix),
+            match_candidates(candidates, DESIGN, cfg),
         )
         with pytest.raises(ValueError, match="design matrix shape"):
             match_candidates(candidates, DESIGN, cfg, matrix[:2])
@@ -354,7 +369,7 @@ class TestMatchCandidates:
         candidates = list(DESIGN.questions) + ["Another question about planets?"]
         a = match_candidates(candidates, DESIGN, MatcherConfig())
         b = match_candidates(candidates, DESIGN, MatcherConfig())
-        assert a == b
+        assert _same(a, b)
 
 
 class TestDesignCQLoading:

@@ -9,14 +9,10 @@ from cqretrofit.filtration import CandidateCQ
 from cqretrofit.matcher import DesignCQSet, MatcherConfig, match_candidates
 from cqretrofit.metrics import (
     MissingVerdictError,
-    UnmatchedCategory,
     ValidationLabels,
     Verdict,
     ZeroTripleError,
-    build_vocabulary,
-    categorize_unmatched,
     compute_metrics,
-    grounding_check,
     load_validation_labels,
     mean_questions_per_triple,
     metrics_from_counts,
@@ -161,65 +157,6 @@ class TestUnmatchedStats:
         row = unmatched_stats(values, 100)
         assert row.min <= row.p25 <= row.p50 <= row.max
         assert row.min <= row.mean <= row.max
-
-
-class TestGrounding:
-    VOCAB = build_vocabulary(
-        ["Device", "located_at", "Sensor", "Site", "Multiplayer", "Achievement"]
-    )
-
-    def test_unikl_example(self):
-        result = grounding_check("Which devices are located at UNIKL?", self.VOCAB)
-        assert result.ungrounded_terms == ("UNIKL",)
-        assert not result.grounded
-
-    def test_grounded_question(self):
-        result = grounding_check("What is a Multiplayer Achievement?", self.VOCAB)
-        assert result.grounded
-
-    def test_underscore_split_vocabulary(self):
-        assert "located" in self.VOCAB
-        assert "at" in self.VOCAB
-
-    def test_plural_folding(self):
-        assert grounding_check("Which sensors exist at a site?", self.VOCAB | {"exist"}).grounded
-
-    def test_fully_covered_is_grounded(self):
-        vocab = build_vocabulary(["alpha_beta", "gamma"])
-        assert grounding_check("Alpha beta gamma?", vocab).grounded
-
-
-class TestCategorize:
-    VOCAB = build_vocabulary(["Player", "Game", "Username"])
-
-    def test_top_n(self):
-        cats = categorize_unmatched("Who are the top 3 players in the game?", self.VOCAB)
-        assert UnmatchedCategory.AGGREGATION in cats
-
-    def test_ungrounded(self):
-        cats = categorize_unmatched(
-            "Which devices are located at UNIKL?", build_vocabulary(["Device", "located_at"])
-        )
-        assert cats == {UnmatchedCategory.UNGROUNDED}
-
-    def test_uncategorized(self):
-        cats = categorize_unmatched("What is the username of the player?", self.VOCAB)
-        assert cats == set()
-
-    @pytest.mark.parametrize(
-        "q",
-        [
-            "How many guilds exist?",
-            "What is the average score?",
-            "What is the total playtime?",
-            "Which player scored most?",
-        ],
-    )
-    def test_aggregation_keywords(self, q):
-        vocab = build_vocabulary(
-            ["guild", "score", "playtime", "player", "exist", "scored"]
-        )
-        assert UnmatchedCategory.AGGREGATION in categorize_unmatched(q, vocab)
 
 
 def _labels(pairs):
