@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqretrofit import filtration
 from cqretrofit.filtration import (
     DEFAULT_NARRATIVE_PATTERNS,
     DEFAULT_PRIMITIVE_PATTERNS,
@@ -73,6 +75,48 @@ def records_for(questions):
         GenerationRecord(i, template_id, "gpt-3.5-turbo", (text,))
         for i, (template_id, text) in enumerate(questions)
     ]
+
+
+class TestCandidateCQ:
+    def _candidate(self):
+        return CandidateCQ("What is a guild?", 3, "P1", "gpt-4", model_name="gpt-4-0613")
+
+    def test_new_candidate_is_kept(self):
+        c = self._candidate()
+        assert (c.kept, c.status, c.removal_reason) == (True, "kept", None)
+
+    def test_removed_sets_reason_and_derives_status(self):
+        c = self._candidate()
+        out = c.removed(RemovalReason.DUPLICATE)
+        assert (out.kept, out.status, out.removal_reason) == (
+            False, "removed", RemovalReason.DUPLICATE
+        )
+        assert c.kept  # the original is unchanged
+        assert dataclasses.replace(out, removal_reason=None) == c
+
+    def test_status_is_not_stored(self):
+        assert "status" not in {f.name for f in dataclasses.fields(CandidateCQ)}
+        with pytest.raises(TypeError):
+            CandidateCQ("What is a guild?", 0, "P1", "gpt-4", status="removed")
+
+
+class TestDefaultConfig:
+    QUESTIONS = [
+        "What is the domain of hasPlayer?",
+        "What strategies do you use to succeed in multiplayer games?",
+        "Which guild does a player belong to?",
+    ]
+
+    def test_is_a_default_module_constant(self):
+        assert filtration._DEFAULT_CONFIG == FiltrationConfig()
+
+    def test_omitted_config_uses_the_default(self):
+        cfg = FiltrationConfig()
+        for q in map(normalize_question, self.QUESTIONS):
+            assert is_modelling_primitive(q) == is_modelling_primitive(q, cfg)
+            assert is_subjective_narrative(q) == is_subjective_narrative(q, cfg)
+        records = records_for(GPT35_QUESTIONS)
+        assert filter_questions(records) == filter_questions(records, cfg)
 
 
 class TestNormalizeQuestion:

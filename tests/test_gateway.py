@@ -15,6 +15,7 @@ from cqretrofit.filtration import filter_questions, kept_questions
 from cqretrofit import gateway
 from cqretrofit.gateway import (
     AuthError,
+    DispatchSlots,
     GenerationRecord,
     MalformedResponseError,
     ProviderConfig,
@@ -269,6 +270,46 @@ class TestHttpProvider:
             assert complete(prompt, self._cfg(server.url, **changed), cache).from_cache is False
         assert complete(prompt, self._cfg(server.url, temperature=0.2), cache).from_cache is True
         assert server.request_count == 3
+
+    def test_no_key_sends_no_authorization(self, http_server, prompt, monkeypatch):
+        monkeypatch.delenv("RETROFIT_API_KEY_FAKE", raising=False)
+        seen = []
+
+        def handler(path, body, headers):
+            seen.append(headers.get("Authorization"))
+            return 200, chat_payload("q?")
+
+        complete(prompt, self._cfg(http_server(handler).url))
+        assert seen == [None]
+
+    def test_key_is_not_a_parameter(self, http_server, prompt):
+        server = http_server(lambda path, body, headers: (200, chat_payload("q?")))
+        with pytest.raises(TypeError):
+            complete(prompt, self._cfg(server.url), api_key="sekrit")
+        assert server.request_count == 0
+
+    def test_failed_dispatch_gives_backoff_up_unsent(self, http_server, prompt):
+        server = http_server(lambda path, body, headers: (503, {"error": "busy"}))
+        slots = DispatchSlots(1)
+        slots.failed.set()
+        started = time.monotonic()
+        with pytest.raises(gateway._Abandoned):
+            complete(prompt, self._cfg(server.url, retry_backoff_s=5.0), slots=slots)
+        assert time.monotonic() - started < 2.5
+        assert server.request_count == 1
+
+    def test_unfailed_dispatch_retries_after_backoff(self, http_server, prompt):
+        state = {"n": 0}
+
+        def handler(path, body, headers):
+            state["n"] += 1
+            return (503, {"error": "busy"}) if state["n"] == 1 else (200, chat_payload("q?"))
+
+        server = http_server(handler)
+        slots = DispatchSlots(1)
+        assert complete(prompt, self._cfg(server.url), slots=slots).text == "q?"
+        assert server.request_count == 2
+        assert not slots.failed.is_set()
 
     def test_cached_http_response_skips_network(self, http_server, prompt, tmp_path):
         server = http_server(lambda path, body, headers: (200, chat_payload("once?")))

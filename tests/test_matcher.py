@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cqretrofit import cli, matcher
 from cqretrofit.filtration import normalize_question
 from cqretrofit.matcher import (
+    BestMatches,
     DesignCQSet,
     DimensionMismatchError,
     EmbeddingEndpointError,
@@ -370,6 +372,66 @@ class TestMatchCandidates:
         a = match_candidates(candidates, DESIGN, MatcherConfig())
         b = match_candidates(candidates, DESIGN, MatcherConfig())
         assert _same(a, b)
+
+
+class TestBestMatches:
+    def _side(self):
+        return BestMatches(
+            np.array([2, 0, 1]), np.array([0.9, 0.1, 0.8]), np.array([True, False, True])
+        )
+
+    def test_len_and_count(self):
+        side = self._side()
+        assert len(side) == 3
+        assert side.count == 2
+        assert type(side.count) is int
+
+    def test_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self._side().hit = np.zeros(3, dtype=bool)
+
+    def test_report_arrays_are_parallel_and_typed(self):
+        candidates = ["What rewards exist?", "Does every player have a username?", "the of"]
+        report = match_candidates(candidates, DESIGN, MatcherConfig())
+        for side, n in (
+            (report.candidate_matches, len(candidates)),
+            (report.design_coverage, len(DESIGN)),
+        ):
+            assert len(side) == n
+            assert side.index.shape == side.similarity.shape == side.hit.shape == (n,)
+            assert side.index.dtype.kind == "i"
+            assert side.similarity.dtype == np.float64
+            assert side.hit.dtype == np.bool_
+
+    def test_empty_candidates_arrays_are_typed(self):
+        report = match_candidates([], DESIGN, MatcherConfig())
+        assert report.candidate_matches.index.shape == (0,)
+        assert report.candidate_matches.count == 0
+        assert report.design_coverage.index.dtype.kind == "i"
+        assert report.design_coverage.hit.dtype == np.bool_
+
+    def test_verbatim_candidates_point_at_their_design_cq(self):
+        order = [2, 0, 1]
+        candidates = [DESIGN.questions[j] for j in order]
+        report = match_candidates(candidates, DESIGN, MatcherConfig(similarity_threshold=1.0))
+        assert report.candidate_matches.index.tolist() == order
+        assert report.candidate_matches.similarity == pytest.approx([1.0] * 3)
+        assert report.design_coverage.index.tolist()[:3] == [1, 2, 0]
+
+    def test_validated_count_is_candidate_hit_count(self):
+        candidates = list(DESIGN.questions[:2]) + ["Another question about planets?"]
+        report = match_candidates(candidates, DESIGN, MatcherConfig(similarity_threshold=0.9))
+        assert report.validated_count == report.candidate_matches.count == 2
+
+    def test_unmatched_design_questions_keep_design_order(self):
+        candidates = [DESIGN.questions[2], DESIGN.questions[0]]
+        report = match_candidates(candidates, DESIGN, MatcherConfig(similarity_threshold=0.99))
+        hits = report.design_coverage.hit.tolist()
+        assert report.unmatched_design_questions() == [
+            q for q, hit in zip(DESIGN.questions, hits) if not hit
+        ]
+        assert DESIGN.questions[0] not in report.unmatched_design_questions()
+        assert DESIGN.questions[1] in report.unmatched_design_questions()
 
 
 class TestDesignCQLoading:

@@ -1,12 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqretrofit.filtration import CandidateCQ
-from cqretrofit.matcher import DesignCQSet, MatcherConfig, match_candidates
+from cqretrofit.matcher import (
+    BestMatches,
+    DesignCQSet,
+    MatchReport,
+    MatcherConfig,
+    match_candidates,
+)
 from cqretrofit.metrics import (
     MissingVerdictError,
     ValidationLabels,
@@ -59,6 +66,21 @@ class TestComputeMetrics:
         assert m.recall == 0.5
         assert m.n_design == 2
         assert m.mean_q_per_triple == 2.0
+
+    def test_counts_from_best_match_arrays(self):
+        def side(hits):
+            n = len(hits)
+            return BestMatches(np.zeros(n, dtype=int), np.zeros(n), np.array(hits, dtype=bool))
+
+        report = MatchReport(
+            side([True, False, True, True, False]),
+            side([True, False, False]),
+            ("A?", "B?", "C?"),
+            0.7,
+            "lexical_fallback",
+        )
+        m = compute_metrics(report, n_questions=6, n_triples=3)
+        assert (m.tp, m.fp, m.fn, m.n_candidates, m.n_design) == (3, 2, 2, 5, 3)
 
     @given(
         st.integers(min_value=0, max_value=5000),
