@@ -125,7 +125,7 @@ def load_run_config(path: Union[str, Path]) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         cfg = _from_json(RunConfig, raw)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # a ConfigError, or invalid JSON or UTF-8
         raise ConfigError(f"{path}: {exc}") from None
     # A provider without max_tokens gets its model family's preset.
     if "providers" in raw:
@@ -135,6 +135,20 @@ def load_run_config(path: Union[str, Path]) -> RunConfig:
             for p, r in zip(cfg.providers, raw["providers"])
         ]
     return cfg
+
+
+def _read_json(path: Path, expect: type):
+    """The decoded JSON of ``path``. Invalid JSON or UTF-8, or a top level
+    that is not an ``expect`` (``dict`` or ``list``), raises a ValueError
+    naming the file."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, expect):
+        kind = "object" if expect is dict else "list"
+        raise ValueError(f"{path}: expected a JSON {kind}, not {type(value).__name__}")
+    return value
 
 
 def _safe_name(name: str) -> str:
@@ -332,10 +346,7 @@ def _read_cell(csv_path: Path) -> dict:
         raise FileNotFoundError(
             f"missing sidecar {sidecar_path} for {csv_path}; re-run generate"
         )
-    try:
-        meta = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{sidecar_path}: {exc}") from None
+    meta = _read_json(sidecar_path, dict)
     for key in ("n_questions", "n_triples"):
         if key not in meta:
             raise ValueError(f"{sidecar_path}: missing key {key!r}")
@@ -464,8 +475,12 @@ def run_evaluate(
     )
     entries = []
     if counts_fixture is not None:
-        fixture = json.loads(Path(counts_fixture).read_text(encoding="utf-8"))
+        fixture = _read_json(counts_fixture, list)
         for i, f in enumerate(fixture):
+            if not isinstance(f, dict):
+                raise ValueError(
+                    f"{counts_fixture}: entry {i}: expected a JSON object, not {type(f).__name__}"
+                )
             n_design = f.get("n_design")
             try:
                 tp = f["n_validated"]
@@ -526,13 +541,16 @@ def run_evaluate(
 
 def run_report(report_path: Path) -> str:
     """Human-readable rendering of a report.json."""
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report = _read_json(report_path, dict)
+    cells = report.get("cells", [])
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ValueError(f"{report_path}: cells must be a list of JSON objects")
     lines = [
         f"backend={report.get('backend')} "
         f"threshold={report.get('similarity_threshold')}"
     ]
     header = _SUMMARY_COLUMNS
-    rows = [_summary_row(entry) for entry in report.get("cells", [])]
+    rows = [_summary_row(entry) for entry in cells]
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
         for i in range(len(header))
@@ -696,7 +714,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gateway.GatewayError,
         matcher.MatcherError,
         metrics.MetricsError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,12 +4,13 @@ Questions are embedded as unit vectors and compared by cosine (dot
 product). The default backend is a fully offline lexical fallback:
 feature-hashed bag-of-tokens vectors (Weinberger et al., "Feature
 Hashing for Large Scale Multitask Learning", ICML 2009). One vectorised
-path, :func:`embed_batch`, builds them for a whole batch; :func:`embed`
-is its one-text case. A remote sentence-embedding service can be
-plugged in through the ``http_embedding`` backend (request
-``{"texts": [...]}``, response ``{"vectors": [[...], ...]}``); a
-response of another shape, or with non-numeric or non-finite values,
-raises :class:`EmbeddingEndpointError`.
+path, :func:`embed_batch`, tokenises a whole batch with one regex pass
+per text and scales only its occupied cells; :func:`embed` is its
+one-text case. A remote sentence-embedding service can be plugged in
+through the ``http_embedding`` backend (request ``{"texts": [...]}``,
+response ``{"vectors": [[...], ...]}``); a response of another shape,
+or with non-numeric or non-finite values, raises
+:class:`EmbeddingEndpointError`.
 
 A candidate is validated when its best similarity against the design
 set reaches the threshold; a design CQ is matched when some candidate
@@ -24,8 +25,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import re
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,7 +51,7 @@ _STOP_WORDS = frozenset(
     those there their his her they them""".split()
 )
 
-_TOKEN_RE = re.compile(r"[^a-z0-9]+")
+_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 class MatcherError(Exception):
@@ -119,10 +120,6 @@ def load_design_cqs(path: Union[str, Path]) -> DesignCQSet:
     return DesignCQSet(tuple(questions), source_path=str(p))
 
 
-def _tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_RE.split(text.lower()) if t]
-
-
 def _hash_token(token: str, dimension: int) -> int:
     digest = hashlib.sha1(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dimension
@@ -149,50 +146,53 @@ def embed_batch(texts: Sequence[str], cfg: Optional[MatcherConfig] = None) -> np
 
     The lexical fallback hashes each text's content tokens (stop words
     removed) into a count vector and L2-normalizes it, so identical
-    token bags give identical rows regardless of word order. The whole
-    batch is one vectorised pass: each distinct token is hashed once,
+    token bags give identical rows regardless of word order. Python work
+    is one regex ``findall`` per text and one hash per distinct token;
     every count is one ``np.bincount`` over ``row * dimension + bucket``
-    and the rows are normalized in place. Counts are small integers, so
-    the sums of squares are exact and a row does not depend on the rest
-    of the batch. Texts with no content tokens become zero rows (they
-    can never validate or match); :func:`embed` raises for them instead.
+    and only the occupied cells are divided by their row's norm. Counts
+    are small integers, so the sums of squares are exact and a row does
+    not depend on the rest of the batch. Texts with no content tokens
+    become zero rows (they can never validate or match); :func:`embed`
+    raises for them instead.
     """
     cfg = cfg or MatcherConfig()
     if cfg.backend is MatcherBackend.HTTP_EMBEDDING:
         return _embed_http(texts, cfg)
-    dim = cfg.dimension
-    buckets: dict[str, int] = {}
-    index = array("q")
-    for i, text in enumerate(texts):
-        base = i * dim
-        for token in _tokenize(text):
-            if token in _STOP_WORDS:
-                continue
-            bucket = buckets.get(token)
-            if bucket is None:
-                bucket = buckets[token] = _hash_token(token, dim)
-            index.append(base + bucket)
-    if not index:
+    n, dim = len(texts), cfg.dimension
+    tokens = [_WORD_RE.findall(text.lower()) for text in texts]
+    flat = list(itertools.chain.from_iterable(tokens))
+    bucket_of = {t: -1 if t in _STOP_WORDS else _hash_token(t, dim) for t in set(flat)}
+    buckets = np.fromiter(map(bucket_of.__getitem__, flat), np.int64, count=len(flat))
+    index = np.repeat(np.arange(0, n * dim, dim), np.fromiter(map(len, tokens), np.intp, count=n))
+    # Free the token strings and unfiltered arrays before the count matrix
+    # is allocated, so that the batch's peak memory is that of the matrix.
+    del tokens, flat, bucket_of
+    index += buckets
+    index = index[buckets >= 0]
+    del buckets
+    if not index.size:
         # bincount of no indices returns int64 even with weights=.
-        return np.zeros((len(texts), dim))
+        return np.zeros((n, dim))
     # weights= makes bincount return float64 directly: no int64 copy to cast.
-    rows = np.bincount(
-        np.frombuffer(index, dtype=np.int64),
-        weights=np.ones(len(index)),
-        minlength=len(texts) * dim,
-    ).reshape(len(texts), dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    norms[norms == 0.0] = 1.0
-    rows /= norms[:, None]
-    return rows
+    out = np.bincount(index, weights=np.ones(index.size), minlength=n * dim)
+    rows = index // dim
+    counts = out[index]
+    # A cell of count c occurs c times, so summing the counts over the
+    # occurrences gives each row's sum of squared counts.
+    counts /= np.sqrt(np.bincount(rows, weights=counts, minlength=n))[rows]
+    out[index] = counts
+    return out.reshape(n, dim)
 
 
 def embed_questions(
     questions: Sequence[str], cfg: Optional[MatcherConfig] = None
 ) -> np.ndarray:
     """:func:`embed_batch` of the questions' normalized texts, the form
-    :func:`match_candidates` compares."""
-    return embed_batch([normalize_question(q) for q in questions], cfg)
+    :func:`match_candidates` compares. The lexical fallback skips the
+    normalizing, which changes no ``[a-z0-9]+`` token."""
+    if cfg is not None and cfg.backend is MatcherBackend.HTTP_EMBEDDING:
+        questions = [normalize_question(q) for q in questions]
+    return embed_batch(questions, cfg)
 
 
 def _embed_http(texts: Sequence[str], cfg: MatcherConfig) -> np.ndarray:

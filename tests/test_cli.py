@@ -335,6 +335,12 @@ class TestConfig:
         assert run(["--config", cfg_path, "extract", VG]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: Expecting property name")
 
+    def test_invalid_utf8_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b"\xff{}")
+        assert run(["--config", cfg_path, "extract", VG]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: 'utf-8' codec")
+
     def test_tau_keeps_request_timeout_from_config(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"matcher": {"request_timeout_s": 5.0}}))
@@ -475,6 +481,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {fixture}: entry 1: missing key '{key}'\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ('{"n_validated": 1}', "expected a JSON list, not dict"),
+            ("[1, 2]", "entry 0: expected a JSON object, not int"),
+            ('[{"n_validated": 1, "n_candidates": 1, "n_unmatched": 0, "n_questions": 1, '
+             '"n_triples": 1}, "x"]', "entry 1: expected a JSON object, not str"),
+        ],
+    )
+    def test_malformed_counts_fixture(self, tmp_path, capsys, text, message):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(text)
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
+        assert capsys.readouterr().err == f"error: {fixture}: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_validation_labels_mode(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -576,6 +599,73 @@ class TestReportCommand:
         text = capsys.readouterr().out
         assert "Precision" in text
         assert "videogame_20" in text
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ('[{"cells": 1}]', "expected a JSON object, not list"),
+            ('{"cells": 5}', "cells must be a list of JSON objects"),
+            ('{"cells": [{}, 1]}', "cells must be a list of JSON objects"),
+        ],
+    )
+    def test_malformed_report_is_error(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert run(["report", report]) == 1
+        assert capsys.readouterr().err == f"error: {report}: {message}\n"
+
+
+class TestOSErrors:
+    """Any file that cannot be read ends in ``error: ...`` naming it, exit 1."""
+
+    COMMANDS = [
+        pytest.param(["extract", "--format", "ntriples", "{path}"], id="extract"),
+        pytest.param(["generate", "--format", "turtle", "{path}"], id="generate"),
+        pytest.param(["evaluate", "--design", "{path}"], id="evaluate-design"),
+        pytest.param(["evaluate", "--counts-fixture", "{path}"], id="evaluate-counts-fixture"),
+        pytest.param(
+            ["evaluate", "--design", FIXTURES / "design_cqs.txt", "--validation-labels", "{path}"],
+            id="evaluate-validation-labels",
+        ),
+        pytest.param(["report", "{path}"], id="report"),
+    ]
+
+    @staticmethod
+    def _argv(tmp_path, command, path):
+        return ["--output-dir", tmp_path / "out"] + [
+            str(path) if a == "{path}" else a for a in command
+        ]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_path(self, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run(self._argv(tmp_path, command, folder)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(folder) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unreadable_file(self, tmp_path, capsys, monkeypatch, command):
+        locked = tmp_path / "locked"
+        locked.write_text("[]")
+        denied = PermissionError(13, "Permission denied", str(locked))
+
+        def refuse_locked(opener):
+            def wrapped(file, *args, **kwargs):
+                if Path(file) == locked:
+                    raise denied
+                return opener(file, *args, **kwargs)
+            return wrapped
+
+        # The file opens for its owner whatever its mode when tests run as
+        # root, so the refusal is simulated at both ways the CLI reads.
+        monkeypatch.setattr(Path, "read_text", refuse_locked(Path.read_text))
+        monkeypatch.setattr("builtins.open", refuse_locked(open))
+        assert run(self._argv(tmp_path, command, locked)) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{locked}'\n"
 
 
 class TestTemplatesCommand:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from cqretrofit.matcher import (
     MatcherConfig,
     _STOP_WORDS,
     _hash_token,
-    _tokenize,
     embed,
     embed_batch,
     embed_questions,
@@ -29,6 +30,14 @@ from cqretrofit.matcher import (
 
 
 # --- independent oracle ---------------------------------------------------
+
+_TOKEN_RE = re.compile(r"[^a-z0-9]+")
+
+
+def _tokenize(text):
+    """Split-based tokeniser, independent of embed_batch's findall."""
+    return [t for t in _TOKEN_RE.split(text.lower()) if t]
+
 
 def reference_embed(text, cfg=None):
     """The lexical embedding one text at a time: a count vector over the
@@ -181,6 +190,33 @@ class TestEmbed:
         rows = embed_batch(texts, cfg)
         assert rows.dtype == np.float64
         assert np.array_equal(rows, reference_rows(texts, cfg))
+
+    @pytest.mark.parametrize("dim", [7, 512])
+    def test_large_batch_equals_reference_bitwise(self, dim):
+        rng = random.Random(10)
+        words = _WORDS + ["Ωmega", "naïve", "x2", "orbit's", "ring_dust", "İnfo", "ｆｕｌｌ"]
+        separators = [" ", "  ", "-", ", ", "\t", "?", "_", "\n"]
+        texts = []
+        for i in range(3200):
+            if i % 50 == 0:
+                texts.append("")
+            elif i % 50 == 1:
+                texts.append(" ".join(rng.choices(sorted(_STOP_WORDS), k=rng.randint(1, 6))) + "?")
+            else:
+                parts = rng.choices(words, k=rng.randint(1, 12))
+                texts.append("".join(w + rng.choice(separators) for w in parts))
+        cfg = MatcherConfig(dimension=dim)
+        rows = embed_batch(texts, cfg)
+        assert rows.shape == (3200, dim) and rows.dtype == np.float64
+        assert not rows[::50].any() and not rows[1::50].any()
+        assert np.array_equal(rows, reference_rows(texts, cfg))
+
+    @given(st.lists(st.text(), max_size=8), st.sampled_from([7, 512]))
+    @settings(max_examples=200, deadline=None)
+    def test_embed_questions_equals_batch_of_normalized_texts(self, questions, dim):
+        cfg = MatcherConfig(dimension=dim)
+        expected = embed_batch([normalize_question(q) for q in questions], cfg)
+        assert np.array_equal(embed_questions(questions, cfg), expected)
 
     def test_dimension_must_be_positive(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -480,6 +516,17 @@ class TestHttpEmbeddingBackend:
         assert rows.shape == (2, 2)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
 
+    def test_endpoint_receives_normalized_questions(self, http_server):
+        sent = []
+
+        def handler(path, body, headers):
+            sent.extend(body["texts"])
+            return 200, {"vectors": [[1.0, 0.0] for _ in body["texts"]]}
+
+        server = http_server(handler)
+        embed_questions(["  What IS\tX.  ", "Who owns Y?!"], self._cfg(server.url))
+        assert sent == ["what is x", "who owns y?"]
+
     def test_match_via_endpoint(self, http_server):
         table = {
             "what is x?": [1.0, 0.0],
@@ -585,7 +632,8 @@ def test_tau_range_validated():
 
 
 def test_tokenize_splits_non_alphanumerics():
-    assert _tokenize("What's a Solar_System_Satellite?") == [
+    text = "What's a Solar_System_Satellite?"
+    assert _tokenize(text) == [
         "what",
         "s",
         "a",
@@ -593,3 +641,4 @@ def test_tokenize_splits_non_alphanumerics():
         "system",
         "satellite",
     ]
+    assert matcher._WORD_RE.findall(text.lower()) == _tokenize(text)
