@@ -457,6 +457,9 @@ def _summary_row(entry: dict) -> list[str]:
     ]
 
 
+_FIXTURE_COUNTS = ("n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples")
+
+
 def run_evaluate(
     cfg: RunConfig,
     candidates_dir: Optional[Path] = None,
@@ -481,17 +484,16 @@ def run_evaluate(
                 raise ValueError(
                     f"{counts_fixture}: entry {i}: expected a JSON object, not {type(f).__name__}"
                 )
-            n_design = f.get("n_design")
             try:
-                tp = f["n_validated"]
-                counts = (f["n_candidates"] - tp, f["n_unmatched"], f["n_questions"], f["n_triples"])
-            except KeyError as exc:
-                raise ValueError(
-                    f"{counts_fixture}: entry {i}: missing key {exc.args[0]!r}"
-                ) from None
-            m = metrics.metrics_from_counts(tp, *counts, n_design=n_design)
-            word_counts = f.get("unmatched_word_counts") if n_design else None
-            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts))
+                tp, n_candidates, *counts = (_from_json(int, f[k], k) for k in _FIXTURE_COUNTS)
+                n_design = _from_json(Optional[int], f.get("n_design"), "n_design")
+                word_counts = f.get("unmatched_word_counts")
+                word_counts = _from_json(Optional[list[int]], word_counts, "unmatched_word_counts")
+            except (KeyError, ConfigError) as exc:
+                why = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{counts_fixture}: entry {i}: {why}") from None
+            m = metrics.metrics_from_counts(tp, n_candidates - tp, *counts, n_design=n_design)
+            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts if n_design else None))
     else:
         design = None
         if cfg.design_cq_path:
@@ -545,6 +547,13 @@ def run_report(report_path: Path) -> str:
     cells = report.get("cells", [])
     if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
         raise ValueError(f"{report_path}: cells must be a list of JSON objects")
+    for i, cell in enumerate(cells):
+        # Either may be absent; unmatched_stats may also be null.
+        for key, default in (("rounded", {}), ("unmatched_stats", None)):
+            value = cell.get(key, default)
+            if not isinstance(value, (dict, type(default))):
+                kind = type(value).__name__
+                raise ValueError(f"{report_path}: cell {i}: {key} must be a JSON object, not {kind}")
     lines = [
         f"backend={report.get('backend')} "
         f"threshold={report.get('similarity_threshold')}"
@@ -685,18 +694,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             print(out)
         elif args.command == "evaluate":
-            report_path, summary_path = run_evaluate(
-                cfg,
-                candidates_dir=Path(args.candidates_dir)
-                if args.candidates_dir
-                else None,
-                counts_fixture=Path(args.counts_fixture)
-                if args.counts_fixture
-                else None,
-                validation_labels=Path(args.validation_labels)
-                if args.validation_labels
-                else None,
-            )
+            paths = (args.candidates_dir, args.counts_fixture, args.validation_labels)
+            report_path, summary_path = run_evaluate(cfg, *(Path(p) if p else None for p in paths))
             print(report_path)
             print(summary_path)
         elif args.command == "report":

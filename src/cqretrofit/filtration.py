@@ -10,10 +10,13 @@ defaults below.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .gateway import GenerationRecord
 
@@ -228,22 +231,38 @@ def _pool_key(c: CandidateCQ, cfg: FiltrationConfig) -> tuple:
     return () if cfg.global_dedup else (c.template_id, c.provider_id, c.model_name)
 
 
-def _near_kept(
-    s: str, kept: Sequence[tuple[str, dict[str, int]]], threshold: int
+# Token-sorted forms hold only these characters (see _token_sorted), so
+# a form's character counts fit one row with a column per character.
+_ALPHABET = b" 0123456789abcdefghijklmnopqrstuvwxyz"
+_COLUMN = bytes.maketrans(_ALPHABET, bytes(range(len(_ALPHABET))))
+
+
+def _count_rows(forms: Sequence[str]) -> np.ndarray:
+    """One row of character counts per form, in one ``bincount``."""
+    width, lengths = len(_ALPHABET), [len(s) for s in forms]
+    codes = np.frombuffer("".join(forms).encode("ascii").translate(_COLUMN), np.uint8)
+    cells = np.repeat(np.arange(len(forms)) * width, lengths) + codes
+    counts = np.bincount(cells, minlength=len(forms) * width).reshape(-1, width)
+    # int16 holds a count up to 32767; a longer form needs int32.
+    return counts.astype(np.int16 if max(lengths, default=0) < 2**15 else np.int32)
+
+
+def _near_form(
+    s: str, row: np.ndarray, kept: Sequence[str], counts: np.ndarray,
+    lengths: np.ndarray, threshold: int,
 ) -> bool:
-    """True when ``s`` is within ``threshold`` of a kept token-sorted
-    form, by the same ratio test as :func:`token_sort_ratio`."""
+    """True when ``s`` is within ``threshold`` of a kept form, by the
+    same ratio test as :func:`token_sort_ratio`; ``counts`` holds the
+    kept forms' count rows as columns and ``lengths`` their lengths."""
     n = len(s)
-    for t, masks in kept:
-        m = len(t)
-        longest = max(n, m)
-        # The length gap is a lower bound on the distance and the ratio
-        # falls as the distance grows, so this skips no match.
-        if 100.0 * (1.0 - abs(n - m) / longest) < threshold:
-            continue
-        if 100.0 * (1.0 - _levenshtein(t, s, masks) / longest) >= threshold:
-            return True
-    return False
+    longest = np.maximum(lengths, n)
+    bound = longest - np.minimum(counts, row[:, None]).sum(0)
+    near = np.flatnonzero(100.0 * (1.0 - bound / longest) >= threshold)
+    masks = _match_masks(s)
+    return any(
+        100.0 * (1.0 - _levenshtein(s, kept[j], masks) / max(n, len(kept[j]))) >= threshold
+        for j in near.tolist()
+    )
 
 
 def dedup(
@@ -256,26 +275,46 @@ def dedup(
     representatives only. By default questions are pooled per
     (template, provider, model); ``cfg.global_dedup`` uses one pool. The
     decisions are those of :func:`is_duplicate` on normalized questions.
+
+    Each pool keeps a character-count column per kept token-sorted form.
+    Against all of them at once, the frequency distance of Kahveci & Singh
+    (VLDB 2001), ``(sum |h_s - h_t| + |len s - len t|) // 2``, which is
+    ``max(len s, len t) - sum min(h_s, h_t)``, bounds the edit distance
+    from below. Only forms whose bound passes the ratio test go on to
+    Myers' edit distance. The prune is the exact test's float expression
+    with the bound for the distance, so it rounds the same way and skips
+    no match; ``bound <= longest * (1 - threshold / 100)`` would not
+    (50 * (1 - 0.9) is 4.999...).
     """
     cfg = cfg or _DEFAULT_CONFIG
     threshold = cfg.dedup_ratio_threshold
-    # Per pool: the set of kept token-sorted forms (an identical form has
-    # ratio 100) and each kept form with its match masks.
-    pools: dict[tuple, tuple[set[str], list[tuple[str, dict[str, int]]]]] = {}
+    keys = [_pool_key(c, cfg) if c.kept else None for c in candidates]
+    # _token_sorted lowercases and splits on non-alphanumerics, so the
+    # raw text and its normalized form give the same sorted form.
+    forms = [_token_sorted(c.text) if c.kept else "" for c in candidates]
+    rows = _count_rows(forms)
+    sizes = Counter(keys)
+    # Per pool: the kept forms, the set of them (an identical form has
+    # ratio 100), and their count columns and lengths, filled in keep
+    # order up to the pool's number of candidates.
+    pools: dict[tuple, tuple[list[str], set[str], np.ndarray, np.ndarray]] = {}
     out: list[CandidateCQ] = []
-    for c in candidates:
-        if not c.kept:
+    for c, key, s, row in zip(candidates, keys, forms, rows):
+        if key is None:
             out.append(c)
             continue
-        # _token_sorted lowercases and splits on non-alphanumerics, so the
-        # raw text and its normalized form give the same sorted form.
-        s = _token_sorted(c.text)
-        seen, kept = pools.setdefault(_pool_key(c, cfg), (set(), []))
-        if s in seen or _near_kept(s, kept, threshold):
+        if key not in pools:
+            size = sizes[key]
+            pools[key] = ([], set(), np.empty((rows.shape[1], size), rows.dtype),
+                          np.empty(size, np.intp))
+        kept, seen, counts, lengths = pools[key]
+        k = len(kept)
+        if s in seen or _near_form(s, row, kept, counts[:, :k], lengths[:k], threshold):
             out.append(c.removed(RemovalReason.DUPLICATE))
         else:
+            counts[:, k], lengths[k] = row, len(s)
+            kept.append(s)
             seen.add(s)
-            kept.append((s, _match_masks(s)))
             out.append(c)
     return out
 

@@ -482,6 +482,27 @@ class TestEvaluate:
         assert err == f"error: {fixture}: entry 1: missing key '{key}'\n"
 
     @pytest.mark.parametrize(
+        "update,message",
+        [
+            ({"n_validated": "1"}, "n_validated must be int, not str"),
+            ({"n_triples": True}, "n_triples must be int, not bool"),
+            ({"n_candidates": 2.0}, "n_candidates must be int, not float"),
+            ({"n_design": "66"}, "n_design must be int, not str"),
+            ({"n_design": 3, "unmatched_word_counts": "abc"},
+             "unmatched_word_counts must be a list, not str"),
+            ({"n_design": 3, "unmatched_word_counts": [4, "5"]},
+             "unmatched_word_counts[1] must be int, not str"),
+        ],
+    )
+    def test_counts_fixture_wrong_type(self, tmp_path, capsys, update, message):
+        full = {k: 1 for k in ("n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples")}
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps([{**full, **update}]))
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
+        assert capsys.readouterr().err == f"error: {fixture}: entry 0: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -608,6 +629,11 @@ class TestReportCommand:
             ('[{"cells": 1}]', "expected a JSON object, not list"),
             ('{"cells": 5}', "cells must be a list of JSON objects"),
             ('{"cells": [{}, 1]}', "cells must be a list of JSON objects"),
+            ('{"cells": [{"rounded": 5}]}', "cell 0: rounded must be a JSON object, not int"),
+            ('{"cells": [{"rounded": null}]}',
+             "cell 0: rounded must be a JSON object, not NoneType"),
+            ('{"cells": [{}, {"unmatched_stats": [1]}]}',
+             "cell 1: unmatched_stats must be a JSON object, not list"),
         ],
     )
     def test_malformed_report_is_error(self, tmp_path, capsys, text, message):
@@ -615,6 +641,13 @@ class TestReportCommand:
         report.write_text(text)
         assert run(["report", report]) == 1
         assert capsys.readouterr().err == f"error: {report}: {message}\n"
+
+
+    def test_null_unmatched_stats_renders(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"cells": [{"model": "m", "rounded": {}, "unmatched_stats": null}]}')
+        assert run(["report", report]) == 0
+        assert "m" in capsys.readouterr().out
 
 
 class TestOSErrors:

@@ -1,11 +1,12 @@
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqretrofit import filtration
+from cqretrofit import filtration, gateway, ontology
 from cqretrofit.filtration import (
     DEFAULT_NARRATIVE_PATTERNS,
     DEFAULT_PRIMITIVE_PATTERNS,
@@ -24,33 +25,8 @@ from cqretrofit.filtration import (
 )
 from cqretrofit.gateway import GenerationRecord
 
-
-# --- independent oracles -------------------------------------------------
-
-def oracle_levenshtein(a: str, b: str) -> int:
-    """Full-matrix DP, independent of the two-row implementation."""
-    m, n = len(a), len(b)
-    d = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(m + 1):
-        d[i][0] = i
-    for j in range(n + 1):
-        d[0][j] = j
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
-    return d[m][n]
-
-
-def oracle_ratio(a: str, b: str) -> float:
-    def sort_tokens(s):
-        return " ".join(sorted(t for t in re.split(r"[^a-z0-9]+", s.lower()) if t))
-
-    sa, sb = sort_tokens(a), sort_tokens(b)
-    longest = max(len(sa), len(sb))
-    if longest == 0:
-        return 100.0
-    return 100.0 * (1.0 - oracle_levenshtein(sa, sb) / longest)
+from conftest import FIXTURES
+from oracle_dedup import oracle_dedup, oracle_levenshtein, oracle_ratio, scan_dedup
 
 
 # The Video Game candidate questions for the subClassOf triple, per model
@@ -223,27 +199,6 @@ class TestDedup:
         assert out[1].kept  # earlier malformed copy is not a kept representative
 
 
-def oracle_dedup(candidates, cfg):
-    """All-pairs reference: each kept question against every earlier kept
-    question of its pool, by the oracle ratio."""
-    pools = {}
-    out = []
-    for c in candidates:
-        if not c.kept:
-            out.append(c)
-            continue
-        pool = pools.setdefault(
-            () if cfg.global_dedup else (c.template_id, c.provider_id, c.model_name), []
-        )
-        q = normalize_question(c.text)
-        if any(oracle_ratio(q, seen) >= cfg.dedup_ratio_threshold for seen in pool):
-            out.append(c.removed(RemovalReason.DUPLICATE))
-        else:
-            pool.append(q)
-            out.append(c)
-    return out
-
-
 _dedup_word = st.sampled_from(
     "a an the player players game gaming achievement reward guild what who".split()
 )
@@ -271,6 +226,23 @@ _dedup_candidate = st.builds(
 )
 
 
+@pytest.fixture(scope="module")
+def mock_cells():
+    """Mock questions for the Video Game fixture: three templates, two
+    models and three seeds, so each (template, provider, model) cell holds
+    about 200 questions; every seventh is pre-removed as malformed."""
+    raw = ontology.parse_ontology((FIXTURES / "videogame_20.nt").read_text(), "ntriples")
+    statements = ontology.filter_statements(raw, "vg").statements
+    providers = [gateway.mock_provider("a"), gateway.mock_provider("b")]
+    cells = [
+        CandidateCQ(q, r.statement_ordinal, r.template_id, r.provider_id, model_name=r.model_name)
+        for seed in (0, 1, 2)
+        for r in gateway.generate_records(statements, ["P1", "P2", "P3"], providers, seed=seed)
+        for q in r.questions
+    ]
+    return [c.removed(RemovalReason.MALFORMED) if i % 7 == 6 else c for i, c in enumerate(cells)]
+
+
 class TestDedupOracle:
     @given(
         st.lists(_dedup_candidate, max_size=10),
@@ -285,6 +257,38 @@ class TestDedupOracle:
         assert [(c.kept, c.removal_reason) for c in got] == [
             (c.kept, c.removal_reason) for c in want
         ]
+
+    @pytest.mark.parametrize("global_dedup", [False, True])
+    @pytest.mark.parametrize("threshold", [0, 50, 70, 90, 100])
+    def test_mock_cells_match_scan_reference(self, mock_cells, threshold, global_dedup):
+        cfg = FiltrationConfig(dedup_ratio_threshold=threshold, global_dedup=global_dedup)
+        assert dedup(mock_cells, cfg) == scan_dedup(mock_cells, cfg)
+
+    def test_mock_cells_grow_pools_past_a_hundred_forms(self, mock_cells):
+        out = dedup(mock_cells, FiltrationConfig(dedup_ratio_threshold=90))
+        kept_per_cell = Counter((c.template_id, c.model_name) for c in out if c.kept)
+        assert min(kept_per_cell.values()) >= 100
+
+    def test_bound_equal_to_distance_at_threshold_is_a_duplicate(self):
+        # 50-character forms five substitutions apart: the ratio is
+        # 100 * (1 - 5/50) == 90.0, but 50 * (1 - 0.9) is 4.999..., so a
+        # prune on that cut-off would drop this pair.
+        a = "aaaaaaaaaa bbbbbbbbb ccccccccc ddddddddd eeeeeeeee?"
+        b = "aaaaaaaaaz bbbbbbbbz ccccccccz ddddddddz eeeeeeeez?"
+        sa, sb = filtration._token_sorted(a), filtration._token_sorted(b)
+        assert len(sa) == len(sb) == 50
+        assert oracle_levenshtein(sa, sb) == 5
+        ca, cb = Counter(sa), Counter(sb)
+        assert (sum(((ca - cb) + (cb - ca)).values()) + abs(len(sa) - len(sb))) // 2 == 5
+        assert 50 * (1 - 90 / 100) < 5
+        out = dedup([CandidateCQ(a, 0, "P1", "m"), CandidateCQ(b, 1, "P1", "m")])
+        assert out[1].removal_reason is RemovalReason.DUPLICATE
+
+    def test_counts_past_int16_keep_the_decision(self):
+        # 33,000 copies of one letter do not fit an int16 count.
+        a, b = "a" * 33000 + "?", "a" * 33000 + " b?"
+        out = dedup([CandidateCQ(a, 0, "P1", "m"), CandidateCQ(b, 1, "P1", "m")])
+        assert out[1].removal_reason is RemovalReason.DUPLICATE
 
     def test_long_forms_at_threshold_boundary(self):
         # 71-character token-sorted forms one edit apart: ratio 100 * 70/71.
