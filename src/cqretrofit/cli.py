@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -23,7 +24,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import filtration, gateway, matcher, metrics, ontology, prompts
 
@@ -33,7 +34,7 @@ QUESTIONS_CSV_HEADER = "Questions"
 
 
 class ConfigError(ValueError):
-    """A JSON run configuration that does not fit :class:`RunConfig`."""
+    """A JSON input file that does not fit its declared dataclass."""
 
 
 @dataclass
@@ -76,79 +77,136 @@ class RunConfig:
         return resolved
 
 
-def _from_json(tp, value, key: str = ""):
+# The largest count a float holds exactly, so no quotient of counts overflows.
+_MAX_COUNT = 2**53
+
+
+@dataclass(frozen=True, kw_only=True)
+class Sidecar:
+    """What ``evaluate`` reads of a cell's sidecar; ``n_candidates`` counts its CSV's rows."""
+
+    ontology: str = ""
+    template: str = ""
+    provider: str = ""
+    model: str = ""
+    n_questions: int
+    n_triples: int
+    n_candidates: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            low = int(name == "n_triples")  # a rate per triple needs a triple
+            if isinstance(value, int) and not low <= value <= _MAX_COUNT:
+                raise ValueError(f"{name} must be in [{low}, 2**53]")
+
+
+@dataclass(frozen=True, kw_only=True)
+class CountsEntry(Sidecar):
+    """One entry of a counts fixture (``evaluate --counts-fixture``)."""
+
+    n_candidates: int = field()  # required: no default from Sidecar
+    n_validated: int
+    n_unmatched: int
+    n_design: Optional[int] = None
+    unmatched_word_counts: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.n_validated > self.n_candidates:
+            raise ValueError("n_validated must be <= n_candidates")
+        for i, count in enumerate(self.unmatched_word_counts or ()):
+            if not 0 <= count <= _MAX_COUNT:
+                raise ValueError(f"unmatched_word_counts[{i}] must be in [0, 2**53]")
+
+
+@dataclass(frozen=True)
+class ReportCell:
+    """What ``report`` and ``summary.csv`` show of a ``report.json`` cell."""
+
+    ontology: str = ""
+    template: str = ""
+    model: str = ""
+    n_questions: Optional[int] = None
+    n_candidates: Optional[int] = None
+    n_validated: Optional[int] = None
+    rounded: dict[str, float] = field(default_factory=dict)
+    unmatched_stats: Optional[metrics.StatsRow] = None
+
+
+@dataclass(frozen=True)
+class Report:
+    """What ``report`` shows of a ``report.json``."""
+
+    backend: Optional[str] = None
+    similarity_threshold: Optional[float] = None
+    cells: tuple[ReportCell, ...] = ()
+
+
+# Resolving a dataclass's annotations costs far more than converting a value.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _from_json(tp, value, key: str = "", lenient: bool = False):
     """``value`` (decoded JSON) as an instance of the annotated type
-    ``tp``: a config dataclass, a list or tuple of one item type,
-    ``Optional`` of a type, or a scalar. An enum field takes its string
-    value, which the dataclass converts and checks. ``key`` is the dotted
-    path of ``value`` for error messages."""
+    ``tp``: a dataclass, a list or tuple of one item type, a ``dict`` with
+    string keys, ``Optional`` of a type, or a scalar. An enum field takes
+    its string value, which the dataclass converts and checks. An object
+    key that ``tp`` does not declare is an error unless ``lenient``.
+    ``key`` is the path of ``value`` for error messages."""
     if typing.get_origin(tp) is Union:  # Optional[X]
         if value is None:
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-    if dataclasses.is_dataclass(tp):
+    origin = typing.get_origin(tp)
+    if dataclasses.is_dataclass(tp) or origin is dict:
         if not isinstance(value, dict):
             raise ConfigError(
-                f"{key or 'config'} must be a JSON object, not {type(value).__name__}"
+                f"{key or 'top level'} must be a JSON object, not {type(value).__name__}"
             )
         prefix = f"{key}." if key else ""
+        if origin is dict:
+            item = typing.get_args(tp)[1]
+            return {k: _from_json(item, v, prefix + k, lenient) for k, v in value.items()}
         fields = {f.name: f for f in dataclasses.fields(tp) if f.init}
         for name in value:
-            if name not in fields:
+            if name not in fields and not lenient:
                 raise ConfigError(f"unknown key {prefix}{name}")
         for name, f in fields.items():
             required = f.default is dataclasses.MISSING
             if required and f.default_factory is dataclasses.MISSING and name not in value:
                 raise ConfigError(f"missing required key {prefix}{name}")
-        hints = typing.get_type_hints(tp)
-        kwargs = {n: _from_json(hints[n], v, prefix + n) for n, v in value.items()}
+        hints = _type_hints(tp)
+        kwargs = {n: _from_json(hints[n], v, prefix + n, lenient) for n, v in value.items()
+                  if n in fields}
         try:
             return tp(**kwargs)
         except (ValueError, re.error) as exc:  # range checks in __post_init__
-            raise ConfigError(f"{key or 'config'}: {exc}") from None
-    origin = typing.get_origin(tp)
+            raise ConfigError(f"{key}: {exc}" if key else str(exc)) from None
     if origin in (list, tuple):
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, not {type(value).__name__}")
+            raise ConfigError(f"{key or 'top level'} must be a list, not {type(value).__name__}")
         item = typing.get_args(tp)[0]
-        return origin(_from_json(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+        return origin(_from_json(item, v, f"{key}[{i}]", lenient) for i, v in enumerate(value))
     if issubclass(tp, Enum):
         tp = str
-    # JSON has one number type: an integer is a valid float; a bool is no number.
+    # JSON has one number type: an integer is a valid float if a float
+    # holds it; a bool is no number.
     allowed = (int, float) if tp is float else tp
     if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{key} must be {tp.__name__}, not {type(value).__name__}")
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite float")
     return value
 
 
-def load_run_config(path: Union[str, Path]) -> RunConfig:
+def load_json(path: Union[str, Path], tp, lenient: bool = False):
+    """The JSON file ``path`` as a ``tp`` (see :func:`_from_json`); data
+    files load ``lenient``. Invalid JSON or UTF-8, or a value that does not
+    fit ``tp``, raises :class:`ConfigError` naming the file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        cfg = _from_json(RunConfig, raw)
+        return _from_json(tp, json.loads(Path(path).read_text(encoding="utf-8")), lenient=lenient)
     except ValueError as exc:  # a ConfigError, or invalid JSON or UTF-8
         raise ConfigError(f"{path}: {exc}") from None
-    # A provider without max_tokens gets its model family's preset.
-    if "providers" in raw:
-        cfg.providers = [
-            p if "max_tokens" in r
-            else dataclasses.replace(p, max_tokens=gateway.preset_max_tokens(p.model_name))
-            for p, r in zip(cfg.providers, raw["providers"])
-        ]
-    return cfg
-
-
-def _read_json(path: Path, expect: type):
-    """The decoded JSON of ``path``. Invalid JSON or UTF-8, or a top level
-    that is not an ``expect`` (``dict`` or ``list``), raises a ValueError
-    naming the file."""
-    try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(value, expect):
-        kind = "object" if expect is dict else "list"
-        raise ValueError(f"{path}: expected a JSON {kind}, not {type(value).__name__}")
-    return value
 
 
 def _safe_name(name: str) -> str:
@@ -260,12 +318,18 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
             sset, templates, cfg.providers,
             cache=cache, seed=cfg.seed, parallelism=cfg.parallelism,
         )
-        for template, provider, records, candidates in _filtered_cells(cfg, cells, grid):
+        by_cell: dict[tuple, list[gateway.GenerationRecord]] = {key: [] for key in keys}
+        for r in grid:
+            by_cell[(r.template_id, r.provider_id, r.model_name)].append(r)
+        # One pass: dedup pools each cell's questions, or with global dedup all cells'.
+        pool = iter(filtration.filter_questions(itertools.chain(*by_cell.values()), cfg.filtration))
+        for (template, provider), records in zip(cells, by_cell.values()):
+            n_questions = sum(len(r.questions) for r in records)
+            candidates = list(itertools.islice(pool, n_questions))
             kept = filtration.kept_questions(candidates)
             stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
             csv_path = out_dir / f"{stem}.csv"
             gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
-            n_questions = sum(len(r.questions) for r in records)
             sidecar = {
                 "ontology": sset.source_id,
                 "template": template.id,
@@ -288,30 +352,6 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
                 "wrote %s (%d kept of %d questions)", csv_path, len(kept), n_questions
             )
     return written
-
-
-def _filtered_cells(
-    cfg: RunConfig,
-    cells: Sequence[tuple[prompts.PromptTemplate, gateway.ProviderConfig]],
-    grid: Sequence[gateway.GenerationRecord],
-) -> Iterator[tuple]:
-    """(template, provider, records, candidates) per cell, in order, from
-    the records of one ontology's grid. Each cell is filtered on its own;
-    with global dedup all cells are filtered in one pass."""
-    by_cell: dict[tuple[str, str, str], list[gateway.GenerationRecord]] = {
-        (t.id, p.provider_id, p.model_name): [] for t, p in cells
-    }
-    for r in grid:
-        by_cell[(r.template_id, r.provider_id, r.model_name)].append(r)
-    per_cell = list(by_cell.values())
-    if not cfg.filtration.global_dedup:
-        for (template, provider), records in zip(cells, per_cell):
-            yield template, provider, records, filtration.filter_questions(records, cfg.filtration)
-        return
-    pooled = iter(filtration.filter_questions([r for rs in per_cell for r in rs], cfg.filtration))
-    for (template, provider), records in zip(cells, per_cell):
-        n_questions = sum(len(r.questions) for r in records)
-        yield template, provider, records, list(itertools.islice(pooled, n_questions))
 
 
 def run_filter(
@@ -340,27 +380,26 @@ def run_filter(
     return out_path
 
 
-def _read_cell(csv_path: Path) -> dict:
+def _read_cell(csv_path: Path) -> tuple[Sidecar, list[str]]:
+    """A cell's sidecar and the kept questions of its CSV."""
     sidecar_path = csv_path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FileNotFoundError(
             f"missing sidecar {sidecar_path} for {csv_path}; re-run generate"
         )
-    meta = _read_json(sidecar_path, dict)
-    for key in ("n_questions", "n_triples"):
-        if key not in meta:
-            raise ValueError(f"{sidecar_path}: missing key {key!r}")
+    meta = load_json(sidecar_path, Sidecar, lenient=True)
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row[0] for row in reader if row]
+        rows = [row[0] for row in csv.reader(fh) if row]
     if not rows or rows[0] != QUESTIONS_CSV_HEADER:
         raise ValueError(f"{csv_path}: expected header {QUESTIONS_CSV_HEADER!r}")
-    meta["kept_questions"] = rows[1:]
-    meta["csv_path"] = str(csv_path)
-    return meta
+    kept = rows[1:]
+    if meta.n_candidates not in (None, len(kept)):
+        raise ValueError(f"{csv_path}: n_candidates {meta.n_candidates} in {sidecar_path}, "
+                         f"but {len(kept)} rows; re-run generate")
+    return meta, kept
 
 
-def _discover_cells(candidates_dir: Path) -> list[dict]:
+def _discover_cells(candidates_dir: Path) -> list[tuple[Sidecar, list[str]]]:
     csv_paths = sorted(candidates_dir.rglob("questions_*.csv"))
     if not csv_paths:
         raise FileNotFoundError(f"no questions_*.csv under {candidates_dir}")
@@ -368,7 +407,7 @@ def _discover_cells(candidates_dir: Path) -> list[dict]:
 
 
 def _report_entry(
-    meta: dict,
+    meta: Sidecar,
     m: metrics.EvalMetrics,
     matched: bool = True,
     unmatched_word_counts: Optional[Sequence[int]] = None,
@@ -377,10 +416,10 @@ def _report_entry(
     (``meta``) and its metrics. Without matching, only the question
     counts and rate are reported."""
     entry = {
-        "ontology": meta.get("ontology", ""),
-        "template": meta.get("template", ""),
-        "provider": meta.get("provider", ""),
-        "model": meta.get("model", ""),
+        "ontology": meta.ontology,
+        "template": meta.template,
+        "provider": meta.provider,
+        "model": meta.model,
         "n_questions": m.n_questions,
         "n_triples": m.n_triples,
         "n_candidates": m.n_candidates,
@@ -429,19 +468,20 @@ _SUMMARY_COLUMNS = [
 
 
 def _summary_row(entry: dict) -> list[str]:
-    rounded = entry.get("rounded", {})
+    """The summary row of a report.json cell (as built, or a ReportCell as a dict)."""
+    rounded = entry["rounded"]
 
     def fmt(value, pattern: str) -> str:
         return "-" if value is None else pattern.format(value)
 
     stats = entry.get("unmatched_stats") or {}
     return [
-        entry.get("ontology", ""),
-        entry.get("template", ""),
-        entry.get("model", ""),
-        str(entry.get("n_questions", "")),
+        entry["ontology"],
+        entry["template"],
+        entry["model"],
+        fmt(entry["n_questions"], "{}"),
         fmt(rounded.get("mean_q_per_triple"), "{:.2f}"),
-        str(entry.get("n_candidates", "")),
+        fmt(entry["n_candidates"], "{}"),
         fmt(entry.get("n_validated"), "{}"),
         fmt(rounded.get("precision"), "{:.4f}"),
         fmt(rounded.get("recall"), "{:.4f}"),
@@ -455,9 +495,6 @@ def _summary_row(entry: dict) -> list[str]:
         fmt(stats.get("p50"), "{:.2f}"),
         fmt(stats.get("max"), "{}"),
     ]
-
-
-_FIXTURE_COUNTS = ("n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples")
 
 
 def run_evaluate(
@@ -478,22 +515,13 @@ def run_evaluate(
     )
     entries = []
     if counts_fixture is not None:
-        fixture = _read_json(counts_fixture, list)
-        for i, f in enumerate(fixture):
-            if not isinstance(f, dict):
-                raise ValueError(
-                    f"{counts_fixture}: entry {i}: expected a JSON object, not {type(f).__name__}"
-                )
-            try:
-                tp, n_candidates, *counts = (_from_json(int, f[k], k) for k in _FIXTURE_COUNTS)
-                n_design = _from_json(Optional[int], f.get("n_design"), "n_design")
-                word_counts = f.get("unmatched_word_counts")
-                word_counts = _from_json(Optional[list[int]], word_counts, "unmatched_word_counts")
-            except (KeyError, ConfigError) as exc:
-                why = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{counts_fixture}: entry {i}: {why}") from None
-            m = metrics.metrics_from_counts(tp, n_candidates - tp, *counts, n_design=n_design)
-            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts if n_design else None))
+        for f in load_json(counts_fixture, list[CountsEntry], lenient=True):
+            m = metrics.metrics_from_counts(
+                f.n_validated, f.n_candidates - f.n_validated, f.n_unmatched,
+                f.n_questions, f.n_triples, n_design=f.n_design,
+            )
+            word_counts = f.unmatched_word_counts if f.n_design else None
+            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts))
     else:
         design = None
         if cfg.design_cq_path:
@@ -505,20 +533,18 @@ def run_evaluate(
                 "evaluate needs --design, --validation-labels, or --counts-fixture"
             )
         design_matrix = None
-        for cell in _discover_cells(candidates_dir or out_dir):
-            kept = cell["kept_questions"]
-            n_questions, n_triples = cell["n_questions"], cell["n_triples"]
+        for meta, kept in _discover_cells(candidates_dir or out_dir):
             if design is None:
-                m = metrics.metrics_from_counts(0, len(kept), 0, n_questions, n_triples)
-                entry = _report_entry(cell, m, matched=False)
+                m = metrics.metrics_from_counts(0, len(kept), 0, meta.n_questions, meta.n_triples)
+                entry = _report_entry(meta, m, matched=False)
             else:
                 if design_matrix is None:
                     design_matrix = matcher.embed_questions(design.questions, cfg.matcher)
                 report = matcher.match_candidates(kept, design, cfg.matcher, design_matrix)
-                m = metrics.compute_metrics(report, n_questions, n_triples)
+                m = metrics.compute_metrics(report, meta.n_questions, meta.n_triples)
                 unmatched = report.unmatched_design_questions()
                 entry = _report_entry(
-                    cell, m, unmatched_word_counts=[metrics.word_count(q) for q in unmatched]
+                    meta, m, unmatched_word_counts=[metrics.word_count(q) for q in unmatched]
                 )
                 entry["unmatched_design_cqs"] = unmatched
             if labels is not None:
@@ -543,23 +569,10 @@ def run_evaluate(
 
 def run_report(report_path: Path) -> str:
     """Human-readable rendering of a report.json."""
-    report = _read_json(report_path, dict)
-    cells = report.get("cells", [])
-    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
-        raise ValueError(f"{report_path}: cells must be a list of JSON objects")
-    for i, cell in enumerate(cells):
-        # Either may be absent; unmatched_stats may also be null.
-        for key, default in (("rounded", {}), ("unmatched_stats", None)):
-            value = cell.get(key, default)
-            if not isinstance(value, (dict, type(default))):
-                kind = type(value).__name__
-                raise ValueError(f"{report_path}: cell {i}: {key} must be a JSON object, not {kind}")
-    lines = [
-        f"backend={report.get('backend')} "
-        f"threshold={report.get('similarity_threshold')}"
-    ]
+    report = load_json(report_path, Report, lenient=True)
+    lines = [f"backend={report.backend} threshold={report.similarity_threshold}"]
     header = _SUMMARY_COLUMNS
-    rows = [_summary_row(entry) for entry in cells]
+    rows = [_summary_row(dataclasses.asdict(cell)) for cell in report.cells]
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
         for i in range(len(header))
@@ -583,11 +596,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_extract = sub.add_parser("extract", help="parse ontologies into statements.tsv")
-    p_extract.add_argument("ontologies", nargs="+")
+    p_extract.add_argument("ontology_paths", nargs="+", metavar="ontologies")
     p_extract.add_argument("--format", choices=["ntriples", "turtle"])
 
     p_generate = sub.add_parser("generate", help="generate and filter questions")
-    p_generate.add_argument("ontologies", nargs="*")
+    p_generate.add_argument("ontology_paths", nargs="*", metavar="ontologies")
     p_generate.add_argument("--format", choices=["ntriples", "turtle"])
     p_generate.add_argument(
         "--templates", nargs="+", choices=["P1", "P2", "P3"], help="default: all three"
@@ -601,13 +614,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_filtration_flags(p_filter)
 
     p_eval = sub.add_parser("evaluate", help="match candidates and compute metrics")
-    p_eval.add_argument("--design", help="design CQ file (text or CSV)")
+    p_eval.add_argument("--design", dest="design_cq_path", metavar="DESIGN",
+                        help="design CQ file (text or CSV)")
     p_eval.add_argument("--candidates-dir", help="directory with questions_*.csv")
-    p_eval.add_argument("--tau", type=float, help="similarity threshold")
-    p_eval.add_argument(
-        "--backend", choices=["lexical_fallback", "http_embedding"]
-    )
-    p_eval.add_argument("--embedding-url", help="http_embedding endpoint")
+    p_eval.add_argument("--tau", type=float, dest="matcher.similarity_threshold", metavar="TAU",
+                        help="similarity threshold")
+    p_eval.add_argument("--backend", choices=["lexical_fallback", "http_embedding"],
+                        dest="matcher.backend")
+    p_eval.add_argument("--embedding-url", dest="matcher.endpoint_url", metavar="EMBEDDING_URL",
+                        help="http_embedding endpoint")
     p_eval.add_argument(
         "--counts-fixture", help="JSON counts file: audit formulas, skip matching"
     )
@@ -623,57 +638,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_filtration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strictness", choices=["off", "lenient", "strict"])
-    parser.add_argument("--dedup-threshold", type=int)
-    parser.add_argument("--primitive-lexicon", help="pattern file, one regex per line")
-    parser.add_argument("--narrative-patterns", help="pattern file, one regex per line")
-    parser.add_argument("--global-dedup", action="store_true", default=None)
-
-
-def _given(**values) -> dict:
-    """The keyword arguments that are not None."""
-    return {k: v for k, v in values.items() if v is not None}
+    parser.add_argument("--strictness", choices=["off", "lenient", "strict"],
+                        dest="filtration.strictness")
+    parser.add_argument("--dedup-threshold", type=int, dest="filtration.dedup_ratio_threshold",
+                        metavar="DEDUP_THRESHOLD")
+    parser.add_argument("--primitive-lexicon", dest="filtration.primitive_patterns",
+                        metavar="PRIMITIVE_LEXICON", help="pattern file, one regex per line")
+    parser.add_argument("--narrative-patterns", dest="filtration.narrative_patterns",
+                        metavar="NARRATIVE_PATTERNS", help="pattern file, one regex per line")
+    parser.add_argument("--global-dedup", action="store_true", default=None,
+                        dest="filtration.global_dedup")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    flags = vars(args)
-
-    def pattern_file(flag: str) -> Optional[tuple[str, ...]]:
-        path = flags.get(flag)
-        return filtration.load_pattern_file(path) if path else None
-
-    return dataclasses.replace(
-        cfg,
-        **_given(
-            ontology_paths=flags.get("ontologies") or None,
-            output_dir=args.output_dir or None,
-            cache_dir=args.cache_dir or None,
-            seed=args.seed,
-            parallelism=args.parallelism,
-            templates=flags.get("templates") or None,
-            template_file=flags.get("template_file") or None,
-            design_cq_path=flags.get("design") or None,
-        ),
-        filtration=dataclasses.replace(
-            cfg.filtration,
-            **_given(
-                strictness=flags.get("strictness"),
-                dedup_ratio_threshold=flags.get("dedup_threshold"),
-                primitive_patterns=pattern_file("primitive_lexicon"),
-                narrative_patterns=pattern_file("narrative_patterns"),
-                global_dedup=flags.get("global_dedup"),
-            ),
-        ),
-        matcher=dataclasses.replace(
-            cfg.matcher,
-            **_given(
-                backend=flags.get("backend"),
-                similarity_threshold=flags.get("tau"),
-                endpoint_url=flags.get("embedding_url") or None,
-            ),
-        ),
-    )
+    """The ``--config`` file's configuration (or the defaults) with every
+    given flag overlaid. A flag's dest names the field it sets: a RunConfig
+    field, or ``filtration.<field>`` / ``matcher.<field>``. An empty value
+    counts as not given."""
+    cfg = load_json(args.config, RunConfig) if args.config else RunConfig()
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    given: dict[str, dict] = {"": {}, "filtration": {}, "matcher": {}}
+    for dest, value in vars(args).items():
+        section, _, name = dest.rpartition(".")
+        if (section or name in fields) and value not in (None, "", []):
+            if dest.endswith("_patterns"):  # --primitive-lexicon, --narrative-patterns
+                value = filtration.load_pattern_file(value)
+            given[section][name] = value
+    top = given.pop("")
+    sections = {s: dataclasses.replace(getattr(cfg, s), **kw) for s, kw in given.items()}
+    return dataclasses.replace(cfg, **top, **sections)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -716,7 +709,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         OSError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)  # one line
         return 1
     return 0
 

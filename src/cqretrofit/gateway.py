@@ -93,18 +93,20 @@ def preset_max_tokens(model_name: str) -> int:
 @dataclass(frozen=True)
 class ProviderConfig:
     """One chat-completion provider. ``endpoint_url=None`` selects the
-    built-in mock."""
+    built-in mock; ``max_tokens=None`` the model family's preset."""
 
     provider_id: str
     model_name: str
     endpoint_url: Optional[str] = None
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    max_tokens: Optional[int] = None
     temperature: Optional[float] = None
     request_timeout_s: float = 60.0
     max_retries: int = 3
     retry_backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.max_tokens is None:
+            object.__setattr__(self, "max_tokens", preset_max_tokens(self.model_name))
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
         if self.max_retries < 0:
@@ -194,14 +196,18 @@ class ResponseCache:
         return self.directory / f"{digest}.json"
 
     def get(self, digest: str) -> Optional[dict]:
+        """The entry under ``digest``; None if absent or not an object with a string ``text``."""
         path = self._path(digest)
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # ValueError: invalid JSON or UTF-8
+            entry = None
+        if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
             logger.warning("discarding unreadable cache entry %s", path)
             return None
+        return entry
 
     def put(self, digest: str, payload: dict) -> None:
         atomic_write_text(
@@ -286,7 +292,7 @@ def complete(
                 prompt_digest=digest,
                 provider_id=cfg.provider_id,
                 model_name=cfg.model_name,
-                text=hit.get("text", ""),
+                text=hit["text"],
                 from_cache=True,
                 truncated=bool(hit.get("truncated", False)),
             )

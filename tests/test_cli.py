@@ -4,8 +4,13 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cqretrofit.cli import _build_parser, _config_from_args, load_run_config, main
+from cqretrofit.cli import RunConfig, _build_parser, _config_from_args, load_json, main
+from cqretrofit.filtration import FiltrationConfig, filter_questions
+from cqretrofit.gateway import generate_records, mock_provider
+from cqretrofit.ontology import filter_statements, parse_ontology
 
 from conftest import FIXTURES
 
@@ -225,6 +230,37 @@ class TestGenerate:
             assert len(pooled[t]) == len(cells[t])
             assert pooled[t].count("duplicate") > cells[t].count("duplicate")
 
+    def test_each_cell_keeps_the_decisions_of_filtering_it_alone(self, tmp_path):
+        templates, models = ["P1", "P2", "P3"], ["mock-a", "mock-b"]
+        config = {
+            "providers": [{"provider_id": "mock", "model_name": m} for m in models],
+            "templates": templates,
+            "ontology_paths": [VG],
+            "output_dir": str(tmp_path),
+            "seed": 5,
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["--config", cfg_path, "generate"]) == 0
+        sset = filter_statements(parse_ontology(Path(VG).read_text(), "ntriples"), "videogame_20")
+        grid = generate_records(sset, templates, [mock_provider(m) for m in models], seed=5)
+        for t in templates:
+            for m in models:
+                # The mock's questions do not depend on the model, so pooling
+                # the two models' cells would mark every mock-b question a
+                # duplicate.
+                alone = filter_questions(
+                    [r for r in grid if (r.template_id, r.model_name) == (t, m)], FiltrationConfig()
+                )
+                expected = [
+                    [c.text, c.status, c.removal_reason and c.removal_reason.value] for c in alone
+                ]
+                sidecar = json.loads((tmp_path / f"questions_{t}_{m}.json").read_text())
+                decisions = [
+                    [q["text"], q["status"], q["removal_reason"]] for q in sidecar["questions"]
+                ]
+                assert decisions == expected, (t, m)
+
     def test_repeated_cell_is_an_error(self, tmp_path, capsys):
         assert run(["--output-dir", tmp_path, "generate", VG, "--templates", "P1", "P1"]) == 1
         assert "template P1, provider mock, model mock-small is listed twice" in (
@@ -253,7 +289,7 @@ class TestGenerate:
         extra.write_text("List questions for <statement>\n")
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"templates": ["P1"], "template_file": str(extra)}))
-        cfg = load_run_config(cfg_path)
+        cfg = load_json(cfg_path, RunConfig)
         assert [t.id for t in cfg.resolved_templates()] == ["P1", "P9"]
 
 
@@ -276,7 +312,7 @@ class TestConfig:
                 }
             )
         )
-        cfg = load_run_config(cfg_path)
+        cfg = load_json(cfg_path, RunConfig)
         assert cfg.ontology_paths == [VG]
         assert [(p.model_name, p.max_tokens) for p in cfg.providers] == [
             ("gpt-4", 8192),
@@ -294,14 +330,14 @@ class TestConfig:
             ({"filtration": {"dedup_threshold": 80}}, "unknown key filtration.dedup_threshold"),
             ({"matcher": {"tau": 0.5}}, "unknown key matcher.tau"),
             ({"providers": [{"provider_id": "x"}]}, "missing required key providers[0].model_name"),
-            ([1, 2], "config must be a JSON object"),
+            ([1, 2], "run.json: top level must be a JSON object, not list"),
             ({"filtration": []}, "filtration must be a JSON object"),
             ({"filtration": {"dedup_ratio_threshold": "high"}}, "filtration.dedup_ratio_threshold"),
             ({"seed": 1.5}, "seed must be int"),
             ({"templates": "P1"}, "templates must be a list"),
             ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
             ({"matcher": {"dimension": 0}}, "matcher: dimension must be >= 1"),
-            ({"parallelism": 0}, "config: parallelism must be >= 1"),
+            ({"parallelism": 0}, "run.json: parallelism must be >= 1"),
             (
                 {"providers": [{"provider_id": "x", "model_name": "m", "retry_backoff_s": -1}]},
                 "providers[0]: retry_backoff_s must be >= 0",
@@ -479,7 +515,7 @@ class TestEvaluate:
         fixture.write_text(json.dumps([full, entry]))
         assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {fixture}: entry 1: missing key '{key}'\n"
+        assert err == f"error: {fixture}: missing required key [1].{key}\n"
 
     @pytest.mark.parametrize(
         "update,message",
@@ -499,17 +535,17 @@ class TestEvaluate:
         fixture = tmp_path / "counts.json"
         fixture.write_text(json.dumps([{**full, **update}]))
         assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
-        assert capsys.readouterr().err == f"error: {fixture}: entry 0: {message}\n"
+        assert capsys.readouterr().err == f"error: {fixture}: [0].{message}\n"
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "text,message",
         [
             ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            ('{"n_validated": 1}', "expected a JSON list, not dict"),
-            ("[1, 2]", "entry 0: expected a JSON object, not int"),
+            ('{"n_validated": 1}', "top level must be a list, not dict"),
+            ("[1, 2]", "[0] must be a JSON object, not int"),
             ('[{"n_validated": 1, "n_candidates": 1, "n_unmatched": 0, "n_questions": 1, '
-             '"n_triples": 1}, "x"]', "entry 1: expected a JSON object, not str"),
+             '"n_triples": 1}, "x"]', "[1] must be a JSON object, not str"),
         ],
     )
     def test_malformed_counts_fixture(self, tmp_path, capsys, text, message):
@@ -518,6 +554,42 @@ class TestEvaluate:
         assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
         assert capsys.readouterr().err == f"error: {fixture}: {message}\n"
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "update,message",
+        [
+            ({"n_validated": 5, "n_candidates": 2}, "n_validated must be <= n_candidates"),
+            ({"n_unmatched": -5}, "n_unmatched must be in [0, 2**53]"),
+            ({"n_questions": 10**400}, "n_questions must be in [0, 2**53]"),
+            ({"n_candidates": 2**53 + 1}, "n_candidates must be in [0, 2**53]"),
+            ({"n_triples": 0}, "n_triples must be in [1, 2**53]"),
+            ({"n_design": -1}, "n_design must be in [0, 2**53]"),
+            ({"n_design": 3, "unmatched_word_counts": [4, -1]},
+             "unmatched_word_counts[1] must be in [0, 2**53]"),
+            ({"n_design": 3, "unmatched_word_counts": [10**400]},
+             "unmatched_word_counts[0] must be in [0, 2**53]"),
+        ],
+    )
+    def test_counts_fixture_count_out_of_range(self, tmp_path, capsys, update, message):
+        full = {k: 1 for k in ("n_validated", "n_candidates", "n_unmatched", "n_questions", "n_triples")}
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps([full, {**full, **update}]))
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 1
+        assert capsys.readouterr().err == f"error: {fixture}: [1]: {message}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_counts_fixture_counts_up_to_2_to_the_53(self, tmp_path):
+        big = 2**53
+        entry = {"n_validated": big, "n_candidates": big, "n_unmatched": big,
+                 "n_questions": big, "n_triples": big, "n_design": big,
+                 "unmatched_word_counts": [big, 0]}
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps([entry]))
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 0
+        cell = json.loads((tmp_path / "report.json").read_text())["cells"][0]
+        assert cell["rounded"] == {
+            "mean_q_per_triple": 1.0, "precision": 1.0, "recall": 0.5, "f1": 0.6667
+        }
 
     def test_validation_labels_mode(self, tmp_path):
         out = tmp_path / "out"
@@ -586,8 +658,8 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "key,message",
         [
-            ("n_questions", "missing key 'n_questions'"),
-            ("n_triples", "missing key 'n_triples'"),
+            ("n_questions", "missing required key n_questions"),
+            ("n_triples", "missing required key n_triples"),
             (None, "Expecting value: line 1 column 1 (char 0)"),
         ],
     )
@@ -600,6 +672,41 @@ class TestEvaluate:
         argv = ["--output-dir", tmp_path / "out", "evaluate", "--design", FIXTURES / "design_cqs.txt"]
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {sidecar}: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "update,message",
+        [
+            ({"n_triples": "20"}, "n_triples must be int, not str"),
+            ({"n_questions": None}, "n_questions must be int, not NoneType"),
+            ({"model": 5}, "model must be str, not int"),
+            ({"n_candidates": 2.5}, "n_candidates must be int, not float"),
+            ({"n_triples": 0}, "n_triples must be in [1, 2**53]"),
+            ({"n_questions": -1}, "n_questions must be in [0, 2**53]"),
+        ],
+    )
+    def test_bad_sidecar_value_is_error(self, tmp_path, capsys, update, message):
+        self._generate(tmp_path)
+        sidecar = tmp_path / "out" / "questions_P1_mock-small.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **update}))
+        argv = ["--output-dir", tmp_path / "out", "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {sidecar}: {message}\n"
+
+    def test_csv_out_of_step_with_its_sidecar_is_error(self, tmp_path, capsys):
+        out = self._generate(tmp_path)
+        csv_path = out / "questions_P1_mock-small.csv"
+        sidecar = csv_path.with_suffix(".json")
+        n_candidates = json.loads(sidecar.read_text())["n_candidates"]
+        assert n_candidates > 2
+        csv_path.write_text("\n".join(csv_path.read_text().splitlines()[:3]) + "\n")
+        argv = ["--output-dir", out, "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: n_candidates {n_candidates} in {sidecar}, but 2 rows; "
+            "re-run generate\n"
+        )
+        assert not (out / "report.json").exists()
 
 
 class TestReportCommand:
@@ -626,14 +733,20 @@ class TestReportCommand:
         "text,message",
         [
             ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
-            ('[{"cells": 1}]', "expected a JSON object, not list"),
-            ('{"cells": 5}', "cells must be a list of JSON objects"),
-            ('{"cells": [{}, 1]}', "cells must be a list of JSON objects"),
-            ('{"cells": [{"rounded": 5}]}', "cell 0: rounded must be a JSON object, not int"),
+            ('[{"cells": 1}]', "top level must be a JSON object, not list"),
+            ('{"cells": 5}', "cells must be a list, not int"),
+            ('{"cells": [{}, 1]}', "cells[1] must be a JSON object, not int"),
+            ('{"cells": [{"rounded": 5}]}', "cells[0].rounded must be a JSON object, not int"),
             ('{"cells": [{"rounded": null}]}',
-             "cell 0: rounded must be a JSON object, not NoneType"),
+             "cells[0].rounded must be a JSON object, not NoneType"),
             ('{"cells": [{}, {"unmatched_stats": [1]}]}',
-             "cell 1: unmatched_stats must be a JSON object, not list"),
+             "cells[1].unmatched_stats must be a JSON object, not list"),
+            ('{"cells": [{}, {"rounded": {"precision": "x"}}]}',
+             "cells[1].rounded.precision must be float, not str"),
+            ('{"cells": [{"rounded": {"f1": 1%s}}]}' % ("0" * 400),
+             "cells[0].rounded.f1 must be a finite float"),
+            ('{"cells": [{"unmatched_stats": {"n_unmatched": 1}}]}',
+             "missing required key cells[0].unmatched_stats.pct_unmatched"),
         ],
     )
     def test_malformed_report_is_error(self, tmp_path, capsys, text, message):
@@ -699,6 +812,151 @@ class TestOSErrors:
         monkeypatch.setattr("builtins.open", refuse_locked(open))
         assert run(self._argv(tmp_path, command, locked)) == 1
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{locked}'\n"
+
+
+class TestHelp:
+    """Each flag's dest names the config field it sets; ``--help`` still
+    shows the flag's own name."""
+
+    @pytest.mark.parametrize(
+        "command,shown",
+        [
+            ([], ["--output-dir OUTPUT_DIR", "--cache-dir CACHE_DIR", "--seed SEED",
+                  "--parallelism PARALLELISM"]),
+            (["extract"], ["ontologies [ontologies ...]", "\n  ontologies\n"]),
+            (["generate"], ["[ontologies ...]", "\n  ontologies\n", "--template-file TEMPLATE_FILE",
+                            "--templates {P1,P2,P3}", "--strictness {off,lenient,strict}",
+                            "--dedup-threshold DEDUP_THRESHOLD",
+                            "--primitive-lexicon PRIMITIVE_LEXICON",
+                            "--narrative-patterns NARRATIVE_PATTERNS", "[--global-dedup]"]),
+            (["filter"], ["--strictness {off,lenient,strict}", "--dedup-threshold DEDUP_THRESHOLD",
+                          "--primitive-lexicon PRIMITIVE_LEXICON",
+                          "--narrative-patterns NARRATIVE_PATTERNS", "[--global-dedup]"]),
+            (["evaluate"], ["--design DESIGN", "--tau TAU",
+                            "--backend {lexical_fallback,http_embedding}",
+                            "--embedding-url EMBEDDING_URL"]),
+        ],
+    )
+    def test_help_shows_flag_names(self, capsys, monkeypatch, command, shown):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for text in shown:
+            assert text in out
+        for dest in ("ONTOLOGY_PATHS", "ontology_paths", "DESIGN_CQ_PATH", "MATCHER.", "FILTRATION."):
+            assert dest not in out
+
+
+# Unbounded, with the edges of the count range drawn often.
+_INTS = st.integers() | st.sampled_from([0, -1, 2**53, 2**53 + 1, 10**400])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _near(base: dict):
+    """Arbitrary JSON, or ``base`` with some keys dropped and some values
+    replaced by arbitrary JSON, often an integer."""
+    keys = st.sampled_from(sorted(base))
+    varied = st.builds(
+        lambda drop, update: {k: v for k, v in {**base, **update}.items() if k not in drop},
+        st.sets(keys, max_size=1),
+        st.dictionaries(keys, _INTS | _JSON, max_size=3),
+    )
+    return varied | _JSON
+
+
+_COUNTS = {"ontology": "o", "template": "P1", "model": "m", "n_questions": 9, "n_triples": 3,
+           "n_candidates": 4, "n_validated": 2, "n_unmatched": 1, "n_design": 3,
+           "unmatched_word_counts": [5]}
+_SIDECAR = {"ontology": "o", "template": "P1", "provider": "p", "model": "m",
+            "n_questions": 3, "n_triples": 2, "n_candidates": 2}
+_CELL = {"ontology": "o", "template": "P1", "model": "m", "n_questions": 9, "n_candidates": 4,
+         "n_validated": 2}
+_ROUNDED = {"mean_q_per_triple": 3.0, "precision": 0.5, "recall": 0.6667, "f1": 0.5714}
+_STATS = {"n_unmatched": 1, "pct_unmatched": 33, "mean": 5.0, "std": None, "min": 5,
+          "p25": 5.0, "p50": 5.0, "max": 5}
+_REPORT_CELL = st.builds(
+    lambda cell, rounded, stats: {**cell, "rounded": rounded, "unmatched_stats": stats}
+    if isinstance(cell, dict) else cell,
+    _near(_CELL), _near(_ROUNDED), _near(_STATS),
+)
+_REPORT = st.builds(
+    lambda top, cells: {**top, "cells": cells} if isinstance(top, dict) else top,
+    _near({"backend": "lexical_fallback", "similarity_threshold": 0.7}),
+    st.lists(_REPORT_CELL, max_size=2) | _JSON,
+)
+
+_ANY_JSON = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestArbitraryJson:
+    """Whatever JSON a data file holds, the CLI exits 0, or exits 1 with
+    one ``error:`` line naming the file; never a traceback."""
+
+    @staticmethod
+    def _check(capsys, rc, *paths):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.startswith(tuple(f"error: {p}" for p in paths)), err
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+
+    @_ANY_JSON
+    @given(st.lists(_near(_COUNTS), min_size=1, max_size=3) | _JSON)
+    def test_counts_fixture(self, tmp_path, capsys, value):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps(value))
+        rc = run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture])
+        self._check(capsys, rc, fixture)
+
+    @_ANY_JSON
+    @given(_near(_SIDECAR))
+    def test_sidecar(self, tmp_path, capsys, value):
+        design = tmp_path / "design.txt"
+        design.write_text("What is A?\nWho is B?\n")
+        csv_path = tmp_path / "cells" / "questions_P1_m.csv"
+        csv_path.parent.mkdir(exist_ok=True)
+        csv_path.write_text("Questions\nWhat is A?\nWhat is C?\n")
+        sidecar = csv_path.with_suffix(".json")
+        sidecar.write_text(json.dumps(value))
+        argv = ["--output-dir", tmp_path, "evaluate", "--design", design,
+                "--candidates-dir", csv_path.parent]
+        self._check(capsys, run(argv), csv_path, sidecar)
+
+    @_ANY_JSON
+    @given(_REPORT)
+    def test_report(self, tmp_path, capsys, value):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(value))
+        self._check(capsys, run(["report", report]), report)
+
+    @_ANY_JSON
+    @given(_near({"model": "mock-small", "text": "1. What is A?", "truncated": False}))
+    def test_cache_entry(self, tmp_path, capsys, value):
+        onto = tmp_path / "one.nt"
+        onto.write_text("<http://e.org/g#A> <http://e.org/g#p> <http://e.org/g#B> .\n")
+        cache = tmp_path / "cache"
+        argv = ["--output-dir", tmp_path / "out", "--cache-dir", cache, "generate", onto,
+                "--templates", "P1"]
+        if not cache.exists():
+            assert run(argv) == 0
+        (entry,) = cache.glob("*.json")
+        entry.write_text(json.dumps(value))
+        assert run(argv) == 0
+        self._check(capsys, 0)
+        sidecar = json.loads((tmp_path / "out" / "questions_P1_mock-small.json").read_text())
+        hit = isinstance(value, dict) and isinstance(value.get("text"), str)
+        assert sidecar["cache_hits"] == int(hit)
 
 
 class TestTemplatesCommand:

@@ -56,6 +56,11 @@ class TestProviderConfig:
         with pytest.raises(ValueError):
             ProviderConfig("x", "m", max_tokens=0)
 
+    def test_max_tokens_defaults_to_the_model_preset(self):
+        assert ProviderConfig("x", "gpt-4").max_tokens == 8192
+        assert ProviderConfig("x", "llama-2").max_tokens == 4096
+        assert ProviderConfig("x", "gpt-4", max_tokens=100).max_tokens == 100
+
     @pytest.mark.parametrize(
         "field,value",
         [("retry_backoff_s", -1), ("request_timeout_s", 0), ("request_timeout_s", -0.5)],
@@ -134,6 +139,20 @@ class TestCache:
         (tmp_path / f"{digest}.json").write_text("{not json")
         response = complete(prompt, mock_provider(), cache)
         assert response.from_cache is False
+
+    @pytest.mark.parametrize(
+        "text", ['{"text": 5}', "[1]", "{}", '"text"', "null", '{"text": null}', b"\xff"]
+    )
+    def test_entry_without_string_text_is_a_miss(self, prompt, tmp_path, caplog, text):
+        cache = ResponseCache(tmp_path)
+        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        path = tmp_path / f"{digest}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert cache.get(digest) is None
+        assert f"discarding unreadable cache entry {path}" in caplog.text
+        response = complete(prompt, mock_provider(), cache)
+        assert response.from_cache is False and response.text
+        assert complete(prompt, mock_provider(), cache).from_cache is True
 
 
 class TestAtomicWrite:
