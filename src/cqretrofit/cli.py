@@ -24,17 +24,18 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from . import filtration, gateway, matcher, metrics, ontology, prompts
 
 logger = logging.getLogger(__name__)
 
 QUESTIONS_CSV_HEADER = "Questions"
+_T = TypeVar("_T")
 
 
 class ConfigError(ValueError):
-    """A JSON input file that does not fit its declared dataclass."""
+    """An input file that its role cannot read; the message names the file."""
 
 
 @dataclass
@@ -73,7 +74,7 @@ class RunConfig:
     def resolved_templates(self) -> list[prompts.PromptTemplate]:
         resolved = [prompts.get_template(t) for t in self.templates]
         if self.template_file:
-            resolved.append(prompts.load_template_file(self.template_file))
+            resolved.append(_read_input(self.template_file, prompts.load_template_file))
         return resolved
 
 
@@ -199,14 +200,28 @@ def _from_json(tp, value, key: str = "", lenient: bool = False):
     return value
 
 
+def _read_input(path: Union[str, Path], read: Callable[[Union[str, Path]], _T]) -> _T:
+    """``read(path)`` for an input file. What its content can raise there
+    (invalid UTF-8, a malformed CSV, a bad regex, a value the file's role
+    rejects) is raised as :class:`ConfigError` naming the file."""
+    try:
+        return read(path)
+    except (ValueError, csv.Error, re.error, prompts.PromptError, metrics.MetricsError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_json(path: Union[str, Path], tp, lenient: bool = False):
     """The JSON file ``path`` as a ``tp`` (see :func:`_from_json`); data
     files load ``lenient``. Invalid JSON or UTF-8, or a value that does not
     fit ``tp``, raises :class:`ConfigError` naming the file."""
-    try:
-        return _from_json(tp, json.loads(Path(path).read_text(encoding="utf-8")), lenient=lenient)
-    except ValueError as exc:  # a ConfigError, or invalid JSON or UTF-8
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read_input(path, lambda p: _from_json(
+        tp, json.loads(Path(p).read_text(encoding="utf-8")), lenient=lenient))
+
+
+def _first_column(path: Union[str, Path]) -> list[str]:
+    """The first field of each non-empty row of a CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[0] for row in csv.reader(fh) if row]
 
 
 def _safe_name(name: str) -> str:
@@ -359,8 +374,7 @@ def run_filter(
 ) -> Path:
     """Standalone filtration of an existing questions CSV."""
     in_path = Path(input_csv)
-    with open(in_path, newline="", encoding="utf-8") as fh:
-        rows = [row[0] for row in csv.reader(fh) if row and row[0].strip()]
+    rows = [q for q in _read_input(in_path, _first_column) if q.strip()]
     if rows and rows[0].strip() == QUESTIONS_CSV_HEADER:
         rows = rows[1:]
     records = [
@@ -388,8 +402,7 @@ def _read_cell(csv_path: Path) -> tuple[Sidecar, list[str]]:
             f"missing sidecar {sidecar_path} for {csv_path}; re-run generate"
         )
     meta = load_json(sidecar_path, Sidecar, lenient=True)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = [row[0] for row in csv.reader(fh) if row]
+    rows = _read_input(csv_path, _first_column)
     if not rows or rows[0] != QUESTIONS_CSV_HEADER:
         raise ValueError(f"{csv_path}: expected header {QUESTIONS_CSV_HEADER!r}")
     kept = rows[1:]
@@ -509,7 +522,7 @@ def run_evaluate(
     human-validated precision instead of (or alongside) matching."""
     out_dir = Path(cfg.output_dir)
     labels = (
-        metrics.load_validation_labels(validation_labels)
+        _read_input(validation_labels, metrics.load_validation_labels)
         if validation_labels
         else None
     )
@@ -525,9 +538,9 @@ def run_evaluate(
     else:
         design = None
         if cfg.design_cq_path:
-            design = matcher.load_design_cqs(cfg.design_cq_path)
+            design = _read_input(cfg.design_cq_path, matcher.load_design_cqs)
             if not design.questions:
-                raise ValueError(f"design CQ set {cfg.design_cq_path} is empty")
+                raise ValueError(f"{cfg.design_cq_path}: design CQ set is empty")
         if design is None and labels is None:
             raise ValueError(
                 "evaluate needs --design, --validation-labels, or --counts-fixture"
@@ -662,7 +675,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         section, _, name = dest.rpartition(".")
         if (section or name in fields) and value not in (None, "", []):
             if dest.endswith("_patterns"):  # --primitive-lexicon, --narrative-patterns
-                value = filtration.load_pattern_file(value)
+                value = _read_input(value, filtration.load_pattern_file)
             given[section][name] = value
     top = given.pop("")
     sections = {s: dataclasses.replace(getattr(cfg, s), **kw) for s, kw in given.items()}
@@ -697,7 +710,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "templates":
             shipped = list(prompts.list_templates())
             if args.template_file:
-                shipped.append(prompts.load_template_file(args.template_file))
+                shipped.append(_read_input(args.template_file, prompts.load_template_file))
             for t in shipped:
                 print(f"{t.id}: {t.body}")
     except (

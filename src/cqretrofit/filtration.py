@@ -125,11 +125,13 @@ _DEFAULT_CONFIG = FiltrationConfig()
 
 
 def load_pattern_file(path: Union[str, Path]) -> tuple[str, ...]:
-    """Read one regex per line; blank lines and '#' comments skipped."""
+    """Read one regex per line; blank lines and '#' comments skipped.
+    A line that does not compile raises :class:`re.error`."""
     patterns = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
+            re.compile(stripped)
             patterns.append(stripped)
     return tuple(patterns)
 

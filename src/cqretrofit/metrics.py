@@ -31,10 +31,11 @@ class ZeroTripleError(MetricsError):
 
 
 class MissingVerdictError(MetricsError):
-    def __init__(self, unlabeled: Sequence[str]) -> None:
+    def __init__(self, unlabeled: Sequence[str], source_path: str = "") -> None:
         preview = "; ".join(unlabeled[:5])
+        where = f"{source_path}: " if source_path else ""
         super().__init__(
-            f"{len(unlabeled)} candidate(s) have no verdict, e.g.: {preview}"
+            f"{where}{len(unlabeled)} candidate(s) have no verdict, e.g.: {preview}"
         )
         self.unlabeled = list(unlabeled)
 
@@ -57,7 +58,6 @@ class EvalMetrics:
     mean_q_per_triple: float
     n_candidates: int
     n_design: int
-    undefined: tuple[str, ...] = ()
 
     def rounded(self) -> dict:
         """Display values, Table-2 style."""
@@ -83,23 +83,11 @@ def metrics_from_counts(
     n_triples: int,
     n_design: Optional[int] = None,
 ) -> EvalMetrics:
-    """Assemble metrics from raw counts (the audit path: no matching)."""
-    undefined = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.append("f1")
+    """Assemble metrics from raw counts (the audit path: no matching).
+    A quotient whose denominator is 0 is undefined and reported as 0.0."""
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return EvalMetrics(
         tp=tp,
         fp=fp,
@@ -112,7 +100,6 @@ def metrics_from_counts(
         mean_q_per_triple=mean_questions_per_triple(n_questions, n_triples),
         n_candidates=tp + fp,
         n_design=n_design if n_design is not None else -1,
-        undefined=tuple(undefined),
     )
 
 
@@ -224,10 +211,13 @@ class ValidationLabels:
     """Developer verdicts keyed by candidate text (normalized)."""
 
     entries: tuple[tuple[str, Verdict], ...]
+    source_path: str = ""
 
 
 def load_validation_labels(path: Union[str, Path]) -> ValidationLabels:
-    """CSV with header ``question,verdict``."""
+    """CSV with header ``question,verdict``. A wrong header, or a row
+    without a known verdict, raises :class:`MetricsError`; the row's
+    message gives its number, counting the header as row 1."""
     entries = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -235,12 +225,14 @@ def load_validation_labels(path: Union[str, Path]) -> ValidationLabels:
             f.strip().lower() for f in reader.fieldnames[:2]
         ] != ["question", "verdict"]:
             raise MetricsError(
-                f"{path}: expected CSV header 'question,verdict', "
-                f"found {reader.fieldnames}"
+                f"expected CSV header 'question,verdict', found {reader.fieldnames}"
             )
-        for row in reader:
-            entries.append((row["question"], Verdict(row["verdict"].strip())))
-    return ValidationLabels(tuple(entries))
+        for i, row in enumerate(reader, 2):
+            try:  # a short row has no verdict: None
+                entries.append((row["question"], Verdict((row["verdict"] or "").strip())))
+            except ValueError as exc:
+                raise MetricsError(f"row {i}: {exc}") from None
+    return ValidationLabels(tuple(entries), source_path=str(path))
 
 
 def precision_from_labels(
@@ -263,5 +255,5 @@ def precision_from_labels(
         elif verdict in (Verdict.VALID, Verdict.HINDSIGHT_VALID):
             valid += 1
     if unlabeled:
-        raise MissingVerdictError(unlabeled)
+        raise MissingVerdictError(unlabeled, labels.source_path)
     return valid / len(candidates)

@@ -17,11 +17,12 @@ dropped: a term keeps only its lexical form.
 """
 from __future__ import annotations
 
+import functools
 import re
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -99,8 +100,11 @@ class Term:
             return self.lexical
         return self.label
 
-    def key(self) -> tuple:
-        return (self.kind.value, self.lexical)
+    @functools.cached_property
+    def opaque(self) -> bool:
+        """An IRI with no derivable label or an opaque one; decided on
+        first use and kept (the frozen dataclass has no slots)."""
+        return self.kind is TermKind.IRI and (self.label is None or is_opaque_label(self.label))
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,7 @@ def derive_label(iri: str) -> str:
         return urllib.parse.unquote(fragment)
     rest = iri.split("://", 1)[1] if "://" in iri else iri
     rest = rest.split("?", 1)[0]
-    if "/" not in rest:
-        raise EmptyLocalNameError(iri)
-    path = rest.split("/", 1)[1]
-    segments = [seg for seg in path.split("/") if seg]
+    segments = [seg for seg in rest.split("/")[1:] if seg]
     if not segments:
         raise EmptyLocalNameError(iri)
     return urllib.parse.unquote(segments[-1])
@@ -176,18 +177,6 @@ def is_opaque_label(label: str) -> bool:
     return bool(_UUID_RE.match(label))
 
 
-def _statement_is_opaque(st: Statement, opaque: dict[Optional[str], bool]) -> bool:
-    """``opaque`` holds the verdict per IRI label seen so far."""
-    for term in (st.subject, st.predicate, st.object):
-        if term.kind is TermKind.IRI:
-            label = term.label
-            if label not in opaque:
-                opaque[label] = label is None or is_opaque_label(label)
-            if opaque[label]:
-                return True
-    return False
-
-
 def filter_statements(raw: Iterable[Statement], source_id: str = "") -> StatementSet:
     """Drop blank-node statements, then opaque-labelled ones, and
     renumber what remains with consecutive ordinals.
@@ -201,16 +190,14 @@ def filter_statements(raw: Iterable[Statement], source_id: str = "") -> Statemen
     parsed = 0
     excluded_blank = 0
     excluded_opaque = 0
-    opaque: dict[Optional[str], bool] = {}
     for st in raw:
         parsed += 1
         if st.subject.kind is TermKind.BLANK or st.object.kind is TermKind.BLANK:
             excluded_blank += 1
-            continue
-        if _statement_is_opaque(st, opaque):
+        elif st.subject.opaque or st.predicate.opaque or st.object.opaque:
             excluded_opaque += 1
-            continue
-        kept.append(Statement(st.subject, st.predicate, st.object, len(kept)))
+        else:
+            kept.append(Statement(st.subject, st.predicate, st.object, len(kept)))
     counts = IngestCounts(parsed, excluded_blank, excluded_opaque, len(kept))
     return StatementSet(tuple(kept), source_id, counts)
 
@@ -289,13 +276,26 @@ _STRING_ESCAPES = {
 }
 
 
+class _Delimited(NamedTuple):
+    """What the per-character reader allows in a delimited token, and
+    how its error messages name the token."""
+
+    escapes: dict[str, str]  # beyond \uXXXX and \UXXXXXXXX
+    forbidden: str  # characters it may not hold raw
+    name: str  # in "unterminated <name>"
+    short_name: str  # in "bad escape in <short_name>" and "not allowed in <short_name>"
+
+
+_IRI_TOKEN = _Delimited({}, ' "{}|^`<', "IRI", "IRI")
+_STRING_TOKEN = _Delimited(_STRING_ESCAPES, "", "string literal", "string")
+_UNICODE_ESCAPE_WIDTH = {"u": 4, "U": 8}
+_HEX_DIGITS = {4: re.compile(r"[0-9a-fA-F]{0,4}"), 8: re.compile(r"[0-9a-fA-F]{0,8}")}
+
+
 def _read_unicode_escape(sc: _Scanner, width: int) -> str:
-    digits = ""
-    for _ in range(width):
-        ch = sc.peek()
-        if not ch or ch not in "0123456789abcdefABCDEF":
-            raise sc.error(f"bad unicode escape: expected {width} hex digits")
-        digits += sc.advance()
+    digits = sc.match(_HEX_DIGITS[width]).group()
+    if len(digits) < width:  # raised at the first character that is no hex digit
+        raise sc.error(f"bad unicode escape: expected {width} hex digits")
     code = int(digits, 16)
     if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
         raise sc.error(
@@ -305,36 +305,41 @@ def _read_unicode_escape(sc: _Scanner, width: int) -> str:
     return chr(code)
 
 
+def _read_delimited(sc: _Scanner, close: str, token: _Delimited) -> str:
+    """Read a token's body after its opening delimiter, up to and past
+    ``close``, one character at a time: decode its escapes, or raise at
+    the first character that ``token`` does not allow."""
+    out: list[str] = []
+    while True:
+        ch = sc.peek()
+        if ch == close:
+            sc.advance()
+            return "".join(out)
+        if not ch or ch in "\n\r":
+            raise sc.error(f"unterminated {token.name}")
+        if ch in token.forbidden:
+            raise sc.error(f"character {ch!r} not allowed in {token.short_name}")
+        sc.advance()
+        if ch != "\\":
+            out.append(ch)
+            continue
+        esc = sc.peek()
+        if esc in _UNICODE_ESCAPE_WIDTH:
+            sc.advance()
+            out.append(_read_unicode_escape(sc, _UNICODE_ESCAPE_WIDTH[esc]))
+        elif esc in token.escapes:
+            sc.advance()
+            out.append(token.escapes[esc])
+        else:
+            raise sc.error(f"bad escape in {token.short_name}: \\{esc}")
+
+
 def _read_iriref(sc: _Scanner) -> str:
     m = sc.match(_IRIREF)
     if m:
         return m.group(1)
     sc.expect("<", "'<'")
-    out: list[str] = []
-    while True:
-        if sc.at_end():
-            raise sc.error("unterminated IRI")
-        ch = sc.peek()
-        if ch == ">":
-            sc.advance()
-            return "".join(out)
-        if ch in "\n\r":
-            raise sc.error("unterminated IRI")
-        if ch == "\\":
-            sc.advance()
-            esc = sc.peek()
-            if esc == "u":
-                sc.advance()
-                out.append(_read_unicode_escape(sc, 4))
-            elif esc == "U":
-                sc.advance()
-                out.append(_read_unicode_escape(sc, 8))
-            else:
-                raise sc.error(f"bad escape in IRI: \\{esc}")
-            continue
-        if ch in ' "{}|^`<':
-            raise sc.error(f"character {ch!r} not allowed in IRI")
-        out.append(sc.advance())
+    return _read_delimited(sc, ">", _IRI_TOKEN)
 
 
 def _read_string(sc: _Scanner) -> str:
@@ -345,32 +350,7 @@ def _read_string(sc: _Scanner) -> str:
     sc.advance()
     if sc.peek() == quote and sc.peek(1) == quote:
         raise sc.unsupported("triple-quoted string literal")
-    out: list[str] = []
-    while True:
-        if sc.at_end():
-            raise sc.error("unterminated string literal")
-        ch = sc.peek()
-        if ch == quote:
-            sc.advance()
-            return "".join(out)
-        if ch in "\n\r":
-            raise sc.error("unterminated string literal")
-        if ch == "\\":
-            sc.advance()
-            esc = sc.peek()
-            if esc == "u":
-                sc.advance()
-                out.append(_read_unicode_escape(sc, 4))
-            elif esc == "U":
-                sc.advance()
-                out.append(_read_unicode_escape(sc, 8))
-            elif esc in _STRING_ESCAPES:
-                sc.advance()
-                out.append(_STRING_ESCAPES[esc])
-            else:
-                raise sc.error(f"bad escape in string: \\{esc}")
-            continue
-        out.append(sc.advance())
+    return _read_delimited(sc, quote, _STRING_TOKEN)
 
 
 def _read_blank_label(sc: _Scanner) -> str:
@@ -405,6 +385,7 @@ def _finish_literal(sc: _Scanner, lexical: str, prefixes: Optional[dict]) -> tup
 
 _PNAME_START = re.compile(r"[A-Za-z_]")
 _PNAME_CHARS = re.compile(r"[A-Za-z0-9_\-]")
+_PREFIX_LABEL = re.compile(r"[A-Za-z0-9_\-]*")
 
 
 def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
@@ -418,8 +399,8 @@ def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
     return prefixes[prefix] + local
 
 
-# The readers below return a term as a ``(kind, lexical)`` tuple, which
-# is also its ``Term.key()``; ``parse_ontology`` builds the Terms.
+# The readers below return a term as a ``(kind, lexical)`` tuple, the key
+# under which ``parse_ontology`` builds each distinct Term once.
 def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> tuple:
     if sc.at_end():
         raise sc.error("expected subject, found end of input")
@@ -490,13 +471,10 @@ def _read_bare_word(sc: _Scanner) -> str:
 
 def _parse_prefix_declaration(sc: _Scanner, prefixes: dict, needs_dot: bool) -> None:
     sc.skip_trivia()
-    prefix_chars: list[str] = []
-    while not sc.at_end() and _PNAME_CHARS.match(sc.peek()):
-        prefix_chars.append(sc.advance())
+    prefix = sc.match(_PREFIX_LABEL).group()
     sc.expect(":", "':' ending the prefix name")
     sc.skip_trivia()
-    iri = _read_iriref(sc)
-    prefixes["".join(prefix_chars)] = iri
+    prefixes[prefix] = _read_iriref(sc)
     if needs_dot:
         sc.skip_trivia()
         sc.expect(".", "'.' ending the @prefix directive")
@@ -545,22 +523,18 @@ def _parse_turtle_statement(sc: _Scanner, prefixes: dict, triples: list[tuple]) 
             obj = _read_turtle_object(sc, prefixes)
             triples.append((subject, verb, obj))
             sc.skip_trivia()
-            if sc.peek() == ",":
-                sc.advance()
-                continue
-            break
-        if sc.peek() == ";":
-            while sc.peek() == ";":
-                sc.advance()
-                sc.skip_trivia()
-            if sc.peek() == ".":
-                sc.advance()
-                return
-            continue
+            if sc.peek() != ",":
+                break
+            sc.advance()
+        another_verb = sc.peek() == ";"
+        while sc.peek() == ";":
+            sc.advance()
+            sc.skip_trivia()
         if sc.peek() == ".":
             sc.advance()
             return
-        raise sc.error(f"expected ',', ';' or '.', found {sc.peek()!r}")
+        if not another_verb:
+            raise sc.error(f"expected ',', ';' or '.', found {sc.peek()!r}")
 
 
 def _parse_ntriples(text: str) -> list[tuple]:

@@ -6,18 +6,26 @@ character at a time. The differential tests in ``test_ontology.py``
 require ``cqretrofit.ontology.parse_ontology`` to return the same
 statements as :func:`parse_ontology` here, or to raise the same exception
 class with the same message, line and column.
+
+:func:`filter_statements` is the reference for the statement filter: it
+decides opacity per IRI label in a cache built for each call, where
+``cqretrofit.ontology`` decides it once per ``Term``.
 """
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from cqretrofit.ontology import (
     RDF_TYPE_IRI,
+    IngestCounts,
     OntologySyntaxError,
     Statement,
+    StatementSet,
     Term,
+    TermKind,
     UnsupportedConstructError,
+    is_opaque_label,
 )
 
 
@@ -427,6 +435,10 @@ def _parse_ntriples(text: str) -> list[tuple[Term, Term, Term]]:
         triples.append((subject, predicate, obj))
 
 
+def _key(term: Term) -> tuple:
+    return (term.kind.value, term.lexical)
+
+
 def parse_ontology(source_text: str, format: str) -> list[Statement]:
     """Parse a document into raw statements, in document order.
 
@@ -452,9 +464,42 @@ def parse_ontology(source_text: str, format: str) -> list[Statement]:
     seen: set[tuple] = set()
     statements: list[Statement] = []
     for s, p, o in raw:
-        key = (s.key(), p.key(), o.key())
+        key = (_key(s), _key(p), _key(o))
         if key in seen:
             continue
         seen.add(key)
         statements.append(Statement(s, p, o, ordinal=len(statements)))
     return statements
+
+
+def _statement_is_opaque(st: Statement, opaque: dict[Optional[str], bool]) -> bool:
+    """``opaque`` holds the verdict per IRI label seen so far."""
+    for term in (st.subject, st.predicate, st.object):
+        if term.kind is TermKind.IRI:
+            label = term.label
+            if label not in opaque:
+                opaque[label] = label is None or is_opaque_label(label)
+            if opaque[label]:
+                return True
+    return False
+
+
+def filter_statements(raw: Iterable[Statement], source_id: str = "") -> StatementSet:
+    """Drop blank-node statements, then opaque-labelled ones, and
+    renumber what remains with consecutive ordinals."""
+    kept: list[Statement] = []
+    parsed = 0
+    excluded_blank = 0
+    excluded_opaque = 0
+    opaque: dict[Optional[str], bool] = {}
+    for st in raw:
+        parsed += 1
+        if st.subject.kind is TermKind.BLANK or st.object.kind is TermKind.BLANK:
+            excluded_blank += 1
+            continue
+        if _statement_is_opaque(st, opaque):
+            excluded_opaque += 1
+            continue
+        kept.append(Statement(st.subject, st.predicate, st.object, len(kept)))
+    counts = IngestCounts(parsed, excluded_blank, excluded_opaque, len(kept))
+    return StatementSet(tuple(kept), source_id, counts)

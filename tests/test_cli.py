@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cqretrofit.cli import RunConfig, _build_parser, _config_from_args, load_json, main
@@ -409,6 +409,47 @@ class TestFilterCommand:
         assert run(["filter", src, "--strictness", "off"]) == 0
         out_path = Path(capsys.readouterr().out.strip())
         assert len(out_path.read_text().splitlines()) == 2
+
+
+class TestPatternFiles:
+    """``--primitive-lexicon`` and ``--narrative-patterns`` each replace
+    their built-in table with one regex per line of a file."""
+
+    def test_each_file_replaces_its_table(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        src.write_text("Questions\nIs Multiplayer a class?\nWhich zebras race?\n"
+                       "Could you envision a game?\nWhat is a Multiplayer Achievement?\n")
+        primitive = tmp_path / "primitive.txt"
+        primitive.write_text("# comments and blank lines are skipped\n\n  zebra  \n")
+        narrative = tmp_path / "narrative.txt"
+        narrative.write_text("\n#class\nachievement\n")
+        argv = ["filter", src, "--primitive-lexicon", primitive, "--narrative-patterns", narrative]
+        assert run(argv) == 0
+        out_path = Path(capsys.readouterr().out.strip())
+        sidecar = json.loads(out_path.with_suffix(".json").read_text())
+        reasons = [q["removal_reason"] for q in sidecar["questions"]]
+        assert reasons == [None, "modelling_primitive", None, "subjective_narrative"]
+
+    @pytest.mark.parametrize("flag,field", [("--primitive-lexicon", "primitive_patterns"),
+                                            ("--narrative-patterns", "narrative_patterns")])
+    def test_generate_flag_loads_its_file(self, tmp_path, flag, field):
+        patterns = tmp_path / "p.txt"
+        patterns.write_text("# c\n\nfoo\n  bar\\b  \n")
+        cfg = _config_from_args(_build_parser().parse_args(["generate", VG, flag, str(patterns)]))
+        assert getattr(cfg.filtration, field) == ("foo", r"bar\b")
+        (other,) = {"primitive_patterns", "narrative_patterns"} - {field}
+        assert getattr(cfg.filtration, other) == getattr(FiltrationConfig(), other)
+
+    @pytest.mark.parametrize("command", [["generate", VG], ["filter", "input.csv"]])
+    @pytest.mark.parametrize("flag", ["--primitive-lexicon", "--narrative-patterns"])
+    def test_bad_regex_names_the_file(self, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        Path("input.csv").write_text("Questions\nWhat is A?\n")
+        Path("bad.txt").write_text("what (\n")
+        assert run(["--output-dir", "out", *command, flag, "bad.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bad.txt: missing ), unterminated subpattern at position 5\n"
+        assert not Path("out").exists()
 
 
 class TestEvaluate:
@@ -898,18 +939,19 @@ _ANY_JSON = settings(
 )
 
 
+def _check(capsys, rc, *paths):
+    """Exit 0, or exit 1 with one ``error:`` line naming one of ``paths``."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc in (0, 1)
+    if rc == 1:
+        assert err.startswith(tuple(f"error: {p}" for p in paths)), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 class TestArbitraryJson:
     """Whatever JSON a data file holds, the CLI exits 0, or exits 1 with
     one ``error:`` line naming the file; never a traceback."""
-
-    @staticmethod
-    def _check(capsys, rc, *paths):
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert rc in (0, 1)
-        if rc == 1:
-            assert err.startswith(tuple(f"error: {p}" for p in paths)), err
-            assert err.count("\n") == 1 and err.endswith("\n"), err
 
     @_ANY_JSON
     @given(st.lists(_near(_COUNTS), min_size=1, max_size=3) | _JSON)
@@ -917,7 +959,7 @@ class TestArbitraryJson:
         fixture = tmp_path / "counts.json"
         fixture.write_text(json.dumps(value))
         rc = run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture])
-        self._check(capsys, rc, fixture)
+        _check(capsys, rc, fixture)
 
     @_ANY_JSON
     @given(_near(_SIDECAR))
@@ -931,14 +973,14 @@ class TestArbitraryJson:
         sidecar.write_text(json.dumps(value))
         argv = ["--output-dir", tmp_path, "evaluate", "--design", design,
                 "--candidates-dir", csv_path.parent]
-        self._check(capsys, run(argv), csv_path, sidecar)
+        _check(capsys, run(argv), csv_path, sidecar)
 
     @_ANY_JSON
     @given(_REPORT)
     def test_report(self, tmp_path, capsys, value):
         report = tmp_path / "report.json"
         report.write_text(json.dumps(value))
-        self._check(capsys, run(["report", report]), report)
+        _check(capsys, run(["report", report]), report)
 
     @_ANY_JSON
     @given(_near({"model": "mock-small", "text": "1. What is A?", "truncated": False}))
@@ -953,10 +995,104 @@ class TestArbitraryJson:
         (entry,) = cache.glob("*.json")
         entry.write_text(json.dumps(value))
         assert run(argv) == 0
-        self._check(capsys, 0)
+        _check(capsys, 0)
         sidecar = json.loads((tmp_path / "out" / "questions_P1_mock-small.json").read_text())
         hit = isinstance(value, dict) and isinstance(value.get("text"), str)
         assert sidecar["cache_hits"] == int(hit)
+
+
+# Pieces that break a text reader: invalid UTF-8, NUL, a line longer than
+# the csv module's field limit, regex metacharacters and short rows.
+_TEXT_PIECES = st.sampled_from(
+    [b"\xff", b"\xc3", b"\x00", b"W" * 131_073, b"(", b")", b"[", b"*", b"+?", b"\\", b"{2,1}",
+     b"(?P<a>", b"\n", b"\r\n", b",", b'"', b"What is A?", b"valid", b"maybe", b"<statement>"]
+)
+_TEXT = st.lists(_TEXT_PIECES | st.binary(max_size=6), max_size=6).map(b"".join)
+
+
+@st.composite
+def _text_file(draw, header: bytes = b""):
+    """Arbitrary bytes, half the time after the role's header line."""
+    return (header if draw(st.booleans()) else b"") + draw(_TEXT)
+
+
+def _any_text(test):
+    """Arbitrary-text settings, plus inputs that each break a text reader
+    (invalid UTF-8, an oversized CSV field, a short or unknown labels row,
+    NUL, a bad regex), after each role's header line or none."""
+    for header in (b"", b"Questions\n", b"question,verdict\n"):
+        for body in (b"\xff\n", b"W" * 131_073 + b"\n", b"What is A?\n", b"What is A?,maybe\n",
+                     b"What is A?\x00\n", b"what (\n"):
+            test = example(data=header + body)(test)
+    return settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )(test)
+
+
+class TestArbitraryText:
+    """Whatever bytes a text input holds, the CLI exits 0, or exits 1 with
+    one ``error:`` line naming the file; never a traceback."""
+
+    @staticmethod
+    def _cell(tmp_path, questions=b"Questions\nWhat is A?\n"):
+        csv_path = tmp_path / "cells" / "questions_P1_m.csv"
+        csv_path.parent.mkdir(exist_ok=True)
+        csv_path.write_bytes(questions)
+        csv_path.with_suffix(".json").write_text('{"n_questions": 3, "n_triples": 2}')
+        return csv_path
+
+    @_any_text
+    @given(data=_text_file(b"Questions\n"))
+    def test_design(self, tmp_path, capsys, data):
+        design = tmp_path / "design.txt"
+        design.write_bytes(data)
+        argv = ["--output-dir", tmp_path, "evaluate", "--design", design,
+                "--candidates-dir", self._cell(tmp_path).parent]
+        _check(capsys, run(argv), design)
+
+    @_any_text
+    @given(data=_text_file(b"question,verdict\n"))
+    def test_validation_labels(self, tmp_path, capsys, data):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(data)
+        argv = ["--output-dir", tmp_path, "evaluate", "--validation-labels", labels,
+                "--candidates-dir", self._cell(tmp_path).parent]
+        _check(capsys, run(argv), labels)
+
+    @_any_text
+    @given(data=_text_file(b"Questions\n"))
+    def test_candidates_csv(self, tmp_path, capsys, data):
+        design = tmp_path / "design.txt"
+        design.write_text("What is A?\n")
+        csv_path = self._cell(tmp_path, data)
+        argv = ["--output-dir", tmp_path, "evaluate", "--design", design,
+                "--candidates-dir", csv_path.parent]
+        _check(capsys, run(argv), csv_path)
+
+    @_any_text
+    @given(data=_text_file(b"Questions\n"))
+    def test_filter_input(self, tmp_path, capsys, data):
+        src = tmp_path / "input.csv"
+        src.write_bytes(data)
+        _check(capsys, run(["filter", src, "--output", tmp_path / "out.csv"]), src)
+
+    @pytest.mark.parametrize("flag", ["--primitive-lexicon", "--narrative-patterns"])
+    @_any_text
+    @given(data=_text_file())
+    def test_pattern_file(self, tmp_path, capsys, data, flag):
+        src = tmp_path / "input.csv"
+        src.write_text("Questions\nWhat is A?\nCould you envision B?\n")
+        patterns = tmp_path / "patterns.txt"
+        patterns.write_bytes(data)
+        argv = ["filter", src, "--output", tmp_path / "out.csv", flag, patterns]
+        _check(capsys, run(argv), patterns)
+
+    @_any_text
+    @given(data=_text_file())
+    def test_template_file(self, tmp_path, capsys, data):
+        template = tmp_path / "mine.txt"
+        template.write_bytes(data)
+        _check(capsys, run(["templates", "list", "--template-file", template]), template)
 
 
 class TestTemplatesCommand:

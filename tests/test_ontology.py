@@ -6,6 +6,7 @@ import oracle_parser
 
 from cqretrofit.ontology import (
     EmptyLocalNameError,
+    IngestCounts,
     OntologyError,
     OntologySyntaxError,
     Statement,
@@ -521,6 +522,75 @@ class TestFilterStatements:
         twice = filter_statements(once.statements, "vg")
         assert twice.statements == once.statements
         assert twice.counts.kept == twice.counts.parsed
+
+
+# Terms whose opacity is decided in every way: IRIs with no derivable
+# label, non-HTTP IRIs, Q-ids, UUIDs, digit-only and percent-encoded
+# labels, two namespaces that share one label, literals and blank nodes.
+_FILTER_TERMS = [
+    "<http://e.org/g#Player>", "<http://other.org/vocab/Player>", "<http://e.org/g#hasName>",
+    "<http://e.org/>", "<http://e.org/g#>", "<http://e.org>", "<urn:uuid:abc>",
+    "<mailto:a@e.org>", "<http://www.wikidata.org/entity/Q42>", "<http://e.org/g#P31>",
+    "<http://e.org/id/550e8400-e29b-41d4-a716-446655440000>", "<http://e.org/g#123>",
+    "<http://e.org/g#%31%32>", "<http://e.org/g#Caf%C3%A9>", "<http://e.org/a?x=1>",
+    '"42"', '"Q42"', '""', "_:b0", "_:b1",
+]
+_FILTER_SUBJECTS = [t for t in _FILTER_TERMS if not t.startswith('"')]
+_FILTER_PREDICATES = [t for t in _FILTER_SUBJECTS if t.startswith("<")]
+
+
+@st.composite
+def _filter_documents(draw):
+    lines = [
+        f"{draw(st.sampled_from(_FILTER_SUBJECTS))} {draw(st.sampled_from(_FILTER_PREDICATES))} "
+        f"{draw(st.sampled_from(_FILTER_TERMS))} ."
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+    return "\n".join(lines)
+
+
+def _assert_same_filtering(raw) -> None:
+    assert filter_statements(raw, "src") == oracle_parser.filter_statements(raw, "src")
+
+
+class TestFilterMatchesOracle:
+    """Opacity decided once per Term against the reference's label-keyed
+    cache: the same kept statements, ordinals and counts."""
+
+    @given(doc=_filter_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_opacity_cases(self, doc):
+        _assert_same_filtering(parse_ontology(doc, "nt"))
+
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_documents(self, fmt, data):
+        try:
+            raw = parse_ontology(data.draw(_VALID_DOCUMENTS[fmt]), fmt)
+        except OntologyError:
+            return
+        _assert_same_filtering(raw)
+
+    @pytest.mark.parametrize("name", ["videogame_20.nt", "vicinity_sample.nt", "vicinity_sample.ttl"])
+    def test_fixtures(self, name):
+        raw = parse_ontology((FIXTURES / name).read_text(encoding="utf-8"), format_for_path(name))
+        _assert_same_filtering(raw)
+
+    def test_terms_built_outside_a_parse(self):
+        """Separately built Terms with one label decide alike, and a
+        second filter of the same Terms reads the kept decisions."""
+        p = Term.iri("http://e.org/g#p")
+        raw = [
+            Statement(Term.iri("http://e.org/g#Q7"), p, Term.literal("x"), 0),
+            Statement(Term.iri("http://f.org/Q7"), p, Term.iri("http://e.org/g#A"), 1),
+            Statement(Term.iri("http://e.org/g#A"), p, Term.iri("http://f.org/A"), 2),
+            Statement(Term.blank("b"), p, Term.iri("http://e.org/g#Q7"), 3),
+            Statement(Term.iri("http://e.org/g#A"), Term.iri("urn:x:p"), Term.literal("1"), 4),
+        ]
+        for _ in range(2):
+            _assert_same_filtering(raw)
+        assert filter_statements(raw).counts == IngestCounts(5, 1, 3, 1)
 
 
 class TestRoundTrip:
