@@ -122,16 +122,32 @@ class CountsEntry(Sidecar):
 
 @dataclass(frozen=True)
 class ReportCell:
-    """What ``report`` and ``summary.csv`` show of a ``report.json`` cell."""
+    """A ``report.json`` cell, as ``evaluate`` writes it and ``report`` reads
+    it; a field that the cell's evaluate mode does not set is ``None``."""
 
     ontology: str = ""
     template: str = ""
+    provider: str = ""
     model: str = ""
     n_questions: Optional[int] = None
+    n_triples: Optional[int] = None
     n_candidates: Optional[int] = None
+    mean_q_per_triple: Optional[float] = None
+    n_design: Optional[int] = None
     n_validated: Optional[int] = None
+    n_unmatched_design: Optional[int] = None
+    precision: Optional[float] = None
+    recall: Optional[float] = None
+    f1: Optional[float] = None
+    human_precision: Optional[float] = None
+    unmatched_design_cqs: Optional[list[str]] = None
     rounded: dict[str, float] = field(default_factory=dict)
     unmatched_stats: Optional[metrics.StatsRow] = None
+
+    def to_json(self) -> dict:
+        """The fields that are set; only the stats record is converted (no deep copy)."""
+        return {k: dataclasses.asdict(v) if isinstance(v, metrics.StatsRow) else v
+                for k, v in vars(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -220,7 +236,7 @@ def load_json(path: Union[str, Path], tp, lenient: bool = False):
 
 def _first_column(path: Union[str, Path]) -> list[str]:
     """The first field of each non-empty row of a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [row[0] for row in csv.reader(fh) if row]
 
 
@@ -264,23 +280,37 @@ def _tsv_row(fields: Sequence[str]) -> str:
 def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.StatementSet:
     fmt = format_override or ontology.format_for_path(path)
     try:
-        raw = ontology.parse_ontology(Path(path).read_text(encoding="utf-8"), fmt)
+        raw = ontology.parse_ontology(Path(path).read_text(encoding="utf-8-sig"), fmt)
     except (ontology.OntologyError, UnicodeDecodeError) as exc:
         raise ontology.OntologyError(f"{path}: {exc}") from exc
     return ontology.filter_statements(raw, source_id=Path(path).stem)
 
 
-def _ontology_out_dir(cfg: RunConfig, source_id: str, multi: bool) -> Path:
+def _reject_shared_outputs(what: str, inputs: Sequence[str], outputs: Sequence[object]) -> None:
+    """Raise ``ValueError`` naming the first two inputs that write one output."""
+    first: dict[object, str] = {}
+    for name, out in zip(inputs, outputs):
+        if out in first:
+            raise ValueError(f"{what}{first[out]} and {name} both write to {out}")
+        first[out] = name
+
+
+def _ontology_out_dirs(cfg: RunConfig) -> list[Path]:
+    """Each ontology's output directory: the output directory, or with
+    several ontologies its subdirectory named after the file's stem."""
     base = Path(cfg.output_dir)
-    return base / _safe_name(source_id) if multi else base
+    if len(cfg.ontology_paths) < 2:
+        return [base] * len(cfg.ontology_paths)
+    dirs = [base / _safe_name(Path(path).stem) for path in cfg.ontology_paths]
+    _reject_shared_outputs("ontologies ", cfg.ontology_paths, dirs)
+    return dirs
 
 
 def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[Path]:
     """Write one ``statements.tsv`` per ontology; ingestion counts go to
     stderr."""
     written = []
-    multi = len(cfg.ontology_paths) > 1
-    for path in cfg.ontology_paths:
+    for path, out_dir in zip(cfg.ontology_paths, _ontology_out_dirs(cfg)):
         sset = _load_statement_set(path, format_override)
         rows = [
             _tsv_row(
@@ -296,7 +326,7 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
             )
             for st in sset.statements
         ]
-        out_path = _ontology_out_dir(cfg, sset.source_id, multi) / "statements.tsv"
+        out_path = out_dir / "statements.tsv"
         gateway.atomic_write_text(out_path, "\n".join(rows) + ("\n" if rows else ""))
         c = sset.counts
         print(
@@ -315,7 +345,6 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
     ontology writes no CSVs; its completed responses stay in the cache.
     With ``cfg.filtration.global_dedup`` an ontology's cells are filtered
     together, so a question repeated in another cell is a duplicate."""
-    cache = gateway.ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     templates = cfg.resolved_templates()
     cells = [(t, p) for t in templates for p in cfg.providers]
     keys = [(t.id, p.provider_id, p.model_name) for t, p in cells]
@@ -324,11 +353,16 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
             raise ValueError(
                 "generate: template {}, provider {}, model {} is listed twice".format(*key)
             )
+    stems = [f"questions_{_safe_name(t.id)}_{_safe_name(p.model_name)}" for t, p in cells]
+    _reject_shared_outputs(
+        "generate: ", ["template {}, provider {}, model {}".format(*key) for key in keys],
+        [f"{stem}.csv" for stem in stems],
+    )
+    out_dirs = _ontology_out_dirs(cfg)
+    cache = gateway.ResponseCache(cfg.cache_dir) if cfg.cache_dir else None
     written = []
-    multi = len(cfg.ontology_paths) > 1
-    for path in cfg.ontology_paths:
+    for path, out_dir in zip(cfg.ontology_paths, out_dirs):
         sset = _load_statement_set(path, format_override)
-        out_dir = _ontology_out_dir(cfg, sset.source_id, multi)
         grid = gateway.generate_records(
             sset, templates, cfg.providers,
             cache=cache, seed=cfg.seed, parallelism=cfg.parallelism,
@@ -338,11 +372,10 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
             by_cell[(r.template_id, r.provider_id, r.model_name)].append(r)
         # One pass: dedup pools each cell's questions, or with global dedup all cells'.
         pool = iter(filtration.filter_questions(itertools.chain(*by_cell.values()), cfg.filtration))
-        for (template, provider), records in zip(cells, by_cell.values()):
+        for (template, provider), stem, records in zip(cells, stems, by_cell.values()):
             n_questions = sum(len(r.questions) for r in records)
             candidates = list(itertools.islice(pool, n_questions))
             kept = filtration.kept_questions(candidates)
-            stem = f"questions_{_safe_name(template.id)}_{_safe_name(provider.model_name)}"
             csv_path = out_dir / f"{stem}.csv"
             gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
             sidecar = {
@@ -419,95 +452,73 @@ def _discover_cells(candidates_dir: Path) -> list[tuple[Sidecar, list[str]]]:
     return [_read_cell(p) for p in csv_paths]
 
 
-def _report_entry(
+def _report_cell(
     meta: Sidecar,
     m: metrics.EvalMetrics,
-    matched: bool = True,
-    unmatched_word_counts: Optional[Sequence[int]] = None,
-) -> dict:
+    matched: bool,
+    unmatched: Optional[list[str]] = None,
+    word_counts: Optional[Sequence[int]] = None,
+    human_precision: Optional[float] = None,
+) -> ReportCell:
     """One ``report.json`` cell from a sidecar or counts-fixture entry
     (``meta``) and its metrics. Without matching, only the question
     counts and rate are reported."""
-    entry = {
-        "ontology": meta.ontology,
-        "template": meta.template,
-        "provider": meta.provider,
-        "model": meta.model,
-        "n_questions": m.n_questions,
-        "n_triples": m.n_triples,
-        "n_candidates": m.n_candidates,
-        "mean_q_per_triple": m.mean_q_per_triple,
-        "rounded": m.rounded(),
-    }
-    if not matched:
-        entry["rounded"] = {"mean_q_per_triple": entry["rounded"]["mean_q_per_triple"]}
-        return entry
-    entry.update(
-        {
-            "n_design": m.n_design,
-            "n_validated": m.tp,
-            "n_unmatched_design": m.fn,
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-        }
+    if matched:
+        rounded = m.rounded()
+        scores = {"n_design": m.n_design, "n_validated": m.tp, "n_unmatched_design": m.fn,
+                  "precision": m.precision, "recall": m.recall, "f1": m.f1}
+    else:
+        rounded = {"mean_q_per_triple": metrics.round_half_up(m.mean_q_per_triple, 2)}
+        scores = {}
+    if human_precision is not None:
+        rounded["human_precision"] = metrics.round_half_up(human_precision, 4)
+    stats = None
+    if word_counts is not None:
+        stats = metrics.StatsRow(**metrics.unmatched_stats(word_counts, m.n_design).rounded())
+    return ReportCell(
+        ontology=meta.ontology, template=meta.template, provider=meta.provider, model=meta.model,
+        n_questions=m.n_questions, n_triples=m.n_triples, n_candidates=m.n_candidates,
+        mean_q_per_triple=m.mean_q_per_triple, unmatched_design_cqs=unmatched,
+        human_precision=human_precision, rounded=rounded, unmatched_stats=stats, **scores,
     )
-    if unmatched_word_counts is not None:
-        stats = metrics.unmatched_stats(unmatched_word_counts, m.n_design)
-        entry["unmatched_stats"] = stats.rounded()
-    return entry
 
 
-_SUMMARY_COLUMNS = [
-    "Ontology",
-    "Prompt",
-    "LLM",
-    "No. Q.",
-    "Mean Q/T",
-    "No. Candidate CQs",
-    "No. Validated CQs",
-    "Precision",
-    "Recall",
-    "F1",
-    "Unmatched CQs",
-    "Unmatched %",
-    "Mean",
-    "Std",
-    "Min",
-    "0.25",
-    "0.50",
-    "Max",
-]
+# The columns of summary.csv and ``report``: (header, the value's path in
+# a ReportCell, its format). An unset value is shown as "-".
+_COLUMNS = (
+    ("Ontology", "ontology", "{}"),
+    ("Prompt", "template", "{}"),
+    ("LLM", "model", "{}"),
+    ("No. Q.", "n_questions", "{}"),
+    ("Mean Q/T", "rounded.mean_q_per_triple", "{:.2f}"),
+    ("No. Candidate CQs", "n_candidates", "{}"),
+    ("No. Validated CQs", "n_validated", "{}"),
+    ("Precision", "rounded.precision", "{:.4f}"),
+    ("Recall", "rounded.recall", "{:.4f}"),
+    ("F1", "rounded.f1", "{:.4f}"),
+    ("Unmatched CQs", "unmatched_stats.n_unmatched", "{}"),
+    ("Unmatched %", "unmatched_stats.pct_unmatched", "{}%"),
+    ("Mean", "unmatched_stats.mean", "{:.2f}"),
+    ("Std", "unmatched_stats.std", "{:.2f}"),
+    ("Min", "unmatched_stats.min", "{}"),
+    ("0.25", "unmatched_stats.p25", "{:.2f}"),
+    ("0.50", "unmatched_stats.p50", "{:.2f}"),
+    ("Max", "unmatched_stats.max", "{}"),
+)
 
 
-def _summary_row(entry: dict) -> list[str]:
-    """The summary row of a report.json cell (as built, or a ReportCell as a dict)."""
-    rounded = entry["rounded"]
-
-    def fmt(value, pattern: str) -> str:
-        return "-" if value is None else pattern.format(value)
-
-    stats = entry.get("unmatched_stats") or {}
-    return [
-        entry["ontology"],
-        entry["template"],
-        entry["model"],
-        fmt(entry["n_questions"], "{}"),
-        fmt(rounded.get("mean_q_per_triple"), "{:.2f}"),
-        fmt(entry["n_candidates"], "{}"),
-        fmt(entry.get("n_validated"), "{}"),
-        fmt(rounded.get("precision"), "{:.4f}"),
-        fmt(rounded.get("recall"), "{:.4f}"),
-        fmt(rounded.get("f1"), "{:.4f}"),
-        fmt(stats.get("n_unmatched"), "{}"),
-        fmt(stats.get("pct_unmatched"), "{}%"),
-        fmt(stats.get("mean"), "{:.2f}"),
-        fmt(stats.get("std"), "{:.2f}"),
-        fmt(stats.get("min"), "{}"),
-        fmt(stats.get("p25"), "{:.2f}"),
-        fmt(stats.get("p50"), "{:.2f}"),
-        fmt(stats.get("max"), "{}"),
-    ]
+def _summary_table(cells: Sequence[ReportCell]) -> list[list[str]]:
+    """The header and one row per cell, as in summary.csv."""
+    table = [[header for header, _, _ in _COLUMNS]]
+    for cell in cells:
+        row = []
+        for _, path, pattern in _COLUMNS:
+            value = cell
+            for name in path.split("."):
+                value = value.get(name) if isinstance(value, dict) else getattr(value, name, None)
+            row.append("-" if value is None else pattern.format(value))
+        table.append(row)
+    return table
 
 
 def run_evaluate(
@@ -526,7 +537,7 @@ def run_evaluate(
         if validation_labels
         else None
     )
-    entries = []
+    cells = []
     if counts_fixture is not None:
         for f in load_json(counts_fixture, list[CountsEntry], lenient=True):
             m = metrics.metrics_from_counts(
@@ -534,7 +545,7 @@ def run_evaluate(
                 f.n_questions, f.n_triples, n_design=f.n_design,
             )
             word_counts = f.unmatched_word_counts if f.n_design else None
-            entries.append(_report_entry(f, m, unmatched_word_counts=word_counts))
+            cells.append(_report_cell(f, m, matched=True, word_counts=word_counts))
     else:
         design = None
         if cfg.design_cq_path:
@@ -547,52 +558,38 @@ def run_evaluate(
             )
         design_matrix = None
         for meta, kept in _discover_cells(candidates_dir or out_dir):
+            unmatched = word_counts = None
             if design is None:
                 m = metrics.metrics_from_counts(0, len(kept), 0, meta.n_questions, meta.n_triples)
-                entry = _report_entry(meta, m, matched=False)
             else:
                 if design_matrix is None:
                     design_matrix = matcher.embed_questions(design.questions, cfg.matcher)
                 report = matcher.match_candidates(kept, design, cfg.matcher, design_matrix)
                 m = metrics.compute_metrics(report, meta.n_questions, meta.n_triples)
                 unmatched = report.unmatched_design_questions()
-                entry = _report_entry(
-                    meta, m, unmatched_word_counts=[metrics.word_count(q) for q in unmatched]
-                )
-                entry["unmatched_design_cqs"] = unmatched
-            if labels is not None:
-                human = metrics.precision_from_labels(kept, labels)
-                entry["human_precision"] = human
-                entry["rounded"]["human_precision"] = metrics.round_half_up(human, 4)
-            entries.append(entry)
+                word_counts = [metrics.word_count(q) for q in unmatched]
+            human = None if labels is None else metrics.precision_from_labels(kept, labels)
+            cells.append(_report_cell(meta, m, design is not None, unmatched, word_counts, human))
 
     report = {
         "backend": cfg.matcher.backend.value,
         "similarity_threshold": cfg.matcher.similarity_threshold,
-        "cells": entries,
+        "cells": [cell.to_json() for cell in cells],
     }
     report_path = out_dir / "report.json"
     gateway.atomic_write_text(report_path, _dump_json(report))
     summary_path = out_dir / "summary.csv"
-    gateway.atomic_write_text(
-        summary_path, _csv_text([_SUMMARY_COLUMNS] + [_summary_row(e) for e in entries])
-    )
+    gateway.atomic_write_text(summary_path, _csv_text(_summary_table(cells)))
     return report_path, summary_path
 
 
 def run_report(report_path: Path) -> str:
-    """Human-readable rendering of a report.json."""
+    """Human-readable rendering of a report.json: summary.csv's table."""
     report = load_json(report_path, Report, lenient=True)
     lines = [f"backend={report.backend} threshold={report.similarity_threshold}"]
-    header = _SUMMARY_COLUMNS
-    rows = [_summary_row(dataclasses.asdict(cell)) for cell in report.cells]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-    for r in rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)))
+    table = _summary_table(report.cells)
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
     return "\n".join(lines)
 
 

@@ -128,7 +128,7 @@ def load_pattern_file(path: Union[str, Path]) -> tuple[str, ...]:
     """Read one regex per line; blank lines and '#' comments skipped.
     A line that does not compile raises :class:`re.error`."""
     patterns = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             re.compile(stripped)

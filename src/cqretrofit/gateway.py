@@ -285,31 +285,22 @@ def complete(
     else:
         salt = f"max_tokens={cfg.max_tokens} temperature={cfg.temperature}"
     digest = prompt_digest(cfg.model_name, prompt.rendered, salt)
-    if cache is not None:
-        hit = cache.get(digest)
-        if hit is not None:
-            return RawResponse(
-                prompt_digest=digest,
-                provider_id=cfg.provider_id,
-                model_name=cfg.model_name,
-                text=hit["text"],
-                from_cache=True,
-                truncated=bool(hit.get("truncated", False)),
-            )
-    if cfg.is_mock:
-        text = _mock_complete(prompt, mock_seed)
-        truncated = False
-        latency_ms = None
+    hit = cache.get(digest) if cache is not None else None
+    latency_ms = None
+    if hit is not None:
+        text, truncated = hit["text"], bool(hit.get("truncated", False))
+    elif cfg.is_mock:
+        text, truncated = _mock_complete(prompt, mock_seed), False
     else:
         text, truncated, latency_ms = _http_complete(prompt, cfg, slots)
-    if cache is not None:
+    if cache is not None and hit is None:
         cache.put(digest, {"model": cfg.model_name, "text": text, "truncated": truncated})
     return RawResponse(
         prompt_digest=digest,
         provider_id=cfg.provider_id,
         model_name=cfg.model_name,
         text=text,
-        from_cache=False,
+        from_cache=hit is not None,
         latency_ms=latency_ms,
         truncated=truncated,
     )
@@ -334,7 +325,7 @@ def _http_complete(
 
     slot = slots if slots is not None else contextlib.nullcontext()
     started = time.monotonic()
-    last_status: Optional[int] = None
+    failure: Optional[GatewayError] = None  # what the last attempt raises
     retry_after: Optional[float] = None
     for attempt in range(cfg.max_retries + 1):
         if attempt > 0:
@@ -362,20 +353,14 @@ def _http_complete(
                     timeout=cfg.request_timeout_s,
                 )
         except requests.Timeout:
-            last_status = None
-            if attempt == cfg.max_retries:
-                raise RequestTimeoutError(
-                    f"{cfg.provider_id}: request timed out after "
-                    f"{cfg.max_retries + 1} attempts"
-                )
+            failure = RequestTimeoutError(
+                f"{cfg.provider_id}: request timed out after {cfg.max_retries + 1} attempts"
+            )
             continue
         except requests.ConnectionError as exc:
-            last_status = None
-            if attempt == cfg.max_retries:
-                raise GatewayError(f"{cfg.provider_id}: connection failed: {exc}")
+            failure = GatewayError(f"{cfg.provider_id}: connection failed: {exc}")
             continue
 
-        last_status = resp.status_code
         if resp.status_code == 200:
             return _parse_completion(resp, cfg, started)
         if resp.status_code in (401, 403):
@@ -389,14 +374,16 @@ def _http_complete(
             )
         if resp.status_code in (429, 503):
             retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-    if last_status == 429:
-        raise RateLimitError(
-            f"{cfg.provider_id}: rate limited after {cfg.max_retries + 1} attempts"
-        )
-    raise GatewayError(
-        f"{cfg.provider_id}: HTTP {last_status} persisted after "
-        f"{cfg.max_retries + 1} attempts"
-    )
+        if resp.status_code == 429:
+            failure = RateLimitError(
+                f"{cfg.provider_id}: rate limited after {cfg.max_retries + 1} attempts"
+            )
+        else:
+            failure = GatewayError(
+                f"{cfg.provider_id}: HTTP {resp.status_code} persisted after "
+                f"{cfg.max_retries + 1} attempts"
+            )
+    raise failure
 
 
 def _retry_after_s(value: Optional[str]) -> Optional[float]:

@@ -108,7 +108,7 @@ def load_design_cqs(path: Union[str, Path]) -> DesignCQSet:
     """Read design CQs from a text file (one question per line) or a
     CSV whose header row is ``Questions``."""
     p = Path(path)
-    raw = p.read_text(encoding="utf-8")
+    raw = p.read_text(encoding="utf-8-sig")
     lines = [line for line in raw.splitlines() if line.strip()]
     questions: list[str]
     if lines and lines[0].strip().strip('"').lower() == "questions":

@@ -219,7 +219,7 @@ def load_validation_labels(path: Union[str, Path]) -> ValidationLabels:
     without a known verdict, raises :class:`MetricsError`; the row's
     message gives its number, counting the header as row 1."""
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [
             f.strip().lower() for f in reader.fieldnames[:2]

@@ -94,7 +94,7 @@ def get_template(template_id: str) -> PromptTemplate:
 def load_template_file(path: Union[str, Path]) -> PromptTemplate:
     """Load a user-supplied template; the file stem becomes its id."""
     p = Path(path)
-    return PromptTemplate(p.stem, p.read_text(encoding="utf-8").strip())
+    return PromptTemplate(p.stem, p.read_text(encoding="utf-8-sig").strip())
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -8,9 +9,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cqretrofit.cli import RunConfig, _build_parser, _config_from_args, load_json, main
-from cqretrofit.filtration import FiltrationConfig, filter_questions
+from cqretrofit.filtration import FiltrationConfig, filter_questions, load_pattern_file
 from cqretrofit.gateway import generate_records, mock_provider
+from cqretrofit.matcher import load_design_cqs
+from cqretrofit.metrics import load_validation_labels
 from cqretrofit.ontology import filter_statements, parse_ontology
+from cqretrofit.prompts import load_template_file
 
 from conftest import FIXTURES
 
@@ -1107,3 +1111,181 @@ class TestTemplatesCommand:
         extra.write_text("Ask about <statement>")
         assert run(["templates", "list", "--template-file", extra]) == 0
         assert "mine: Ask about <statement>" in capsys.readouterr().out
+
+
+class TestOutputCollisions:
+    """Two inputs that would write one output path are one ``error:`` line,
+    exit 1, before any prompt is sent or any file is written."""
+
+    @pytest.mark.parametrize("command", ["extract", "generate"])
+    @pytest.mark.parametrize("first,second", [("a/onto.nt", "b/onto.nt"), ("onto.nt", "onto.ttl")])
+    def test_ontologies_sharing_a_stem(self, tmp_path, capsys, monkeypatch, command, first, second):
+        monkeypatch.chdir(tmp_path)
+        for name in (first, second):
+            source = FIXTURES / "vicinity_sample.ttl" if name.endswith(".ttl") else Path(VG)
+            Path(name).parent.mkdir(exist_ok=True)
+            Path(name).write_text(source.read_text())
+        assert run(["--output-dir", "out", "--cache-dir", "cache", command, first, second]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ontologies {first} and {second} both write to {Path('out', 'onto')}\n"
+        )
+        assert not Path("out").exists() and not Path("cache").exists()
+
+    @pytest.mark.parametrize("models", [("meta/llama:2", "meta_llama_2"), ("m", "m")])
+    def test_cells_sharing_a_file(self, tmp_path, capsys, models):
+        config = {
+            "providers": [{"provider_id": p, "model_name": m} for p, m in zip("ab", models)],
+            "templates": ["P1"],
+            "ontology_paths": [VG],
+            "output_dir": str(tmp_path / "out"),
+            "cache_dir": str(tmp_path / "cache"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["--config", cfg_path, "generate"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: generate: template P1, provider a, model {models[0]} and template P1, "
+            f"provider b, model {models[1]} both write to questions_P1_{models[1]}.csv\n"
+        )
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
+
+
+def _filter_result(path):
+    out = path.with_name("out.csv")
+    assert run(["filter", path, "--output", out]) == 0
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    del sidecar["input"]
+    return sidecar, out.read_text()
+
+
+def _extract_result(path):
+    assert run(["--output-dir", path.parent / "out", "extract", path]) == 0
+    return (path.parent / "out" / "statements.tsv").read_text()
+
+
+def _evaluate_result(path):
+    path.with_suffix(".json").write_text('{"n_questions": 3, "n_triples": 2}')
+    design = path.with_name("design.txt")
+    design.write_text("What is A?\n")
+    argv = ["--output-dir", path.parent / "out", "evaluate", "--design", design,
+            "--candidates-dir", path.parent]
+    assert run(argv) == 0
+    return (path.parent / "out" / "report.json").read_text()
+
+
+# role: (file name, content, what the program reads of the file)
+_BOM_ROLES = {
+    "design CSV": ("design.csv", 'Questions\n"What is A, or B?"\nWho is C?\n',
+                   lambda p: load_design_cqs(p).questions),
+    "design text": ("design.txt", "What is A?\nWho is C?\n",
+                    lambda p: load_design_cqs(p).questions),
+    "validation labels": ("labels.csv", "question,verdict\nWhat is A?,valid\n",
+                          lambda p: load_validation_labels(p).entries),
+    "filter input": ("input.csv", "Questions\nWhat is A?\nWho is B?\n", _filter_result),
+    "candidates CSV": ("questions_P1_m.csv", "Questions\nWhat is A?\nWho is B?\n",
+                       _evaluate_result),
+    "ontology": ("onto.nt", "<http://e.org/g#A> <http://e.org/g#p> <http://e.org/g#B> .\n",
+                 _extract_result),
+    "pattern file": ("patterns.txt", "^what\n# comment\nwho\n", load_pattern_file),
+    "template file": ("mine.txt", "Ask about <statement>.\n",
+                      lambda p: (load_template_file(p).id, load_template_file(p).body)),
+}
+
+
+@pytest.mark.parametrize("role", sorted(_BOM_ROLES))
+def test_byte_order_mark_is_skipped(tmp_path, role):
+    name, text, read = _BOM_ROLES[role]
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / f"bom{len(bom)}" / name
+        path.parent.mkdir()
+        path.write_bytes(bom + text.encode())
+        results.append(read(path))
+    assert results[0] == results[1]
+    assert "\ufeff" not in repr(results[1])
+
+
+_CELL_KEYS = {"ontology", "template", "provider", "model", "n_questions", "n_triples",
+              "n_candidates", "mean_q_per_triple", "rounded"}
+_SCORE_KEYS = {"n_design", "n_validated", "n_unmatched_design", "precision", "recall", "f1"}
+_ROUNDED_SCORES = {"mean_q_per_triple", "precision", "recall", "f1"}
+_VIDEO_GAME = {"ontology": "Video Game", "template": "P1", "model": "gpt-3.5-turbo",
+               "n_questions": 549, "n_triples": 363, "n_candidates": 375, "n_validated": 204,
+               "n_unmatched": 8}
+_SUMMARY_HEADER = ("Ontology,Prompt,LLM,No. Q.,Mean Q/T,No. Candidate CQs,No. Validated CQs,"
+                   "Precision,Recall,F1,Unmatched CQs,Unmatched %,Mean,Std,Min,0.25,0.50,Max")
+
+
+class TestReportShape:
+    """The keys of a report.json cell in each evaluate mode, and ``report``
+    showing summary.csv's table."""
+
+    # mode: (the evaluate flags, each cell's (keys, rounded keys))
+    MODES = {
+        "design": (["--design", FIXTURES / "design_cqs.txt"], 2 * [(
+            _CELL_KEYS | _SCORE_KEYS | {"unmatched_stats", "unmatched_design_cqs"},
+            _ROUNDED_SCORES)]),
+        "labels": (["--validation-labels", "labels.csv"], 2 * [(
+            _CELL_KEYS | {"human_precision"}, {"mean_q_per_triple", "human_precision"})]),
+        "design+labels": (
+            ["--design", FIXTURES / "design_cqs.txt", "--validation-labels", "labels.csv"],
+            2 * [(_CELL_KEYS | _SCORE_KEYS | {"unmatched_stats", "unmatched_design_cqs",
+                                              "human_precision"},
+                  _ROUNDED_SCORES | {"human_precision"})]),
+        "counts": (["--counts-fixture", "counts.json"], [
+            (_CELL_KEYS | _SCORE_KEYS | {"unmatched_stats"}, _ROUNDED_SCORES),
+            (_CELL_KEYS | _SCORE_KEYS | {"unmatched_stats"}, _ROUNDED_SCORES),
+            (_CELL_KEYS | _SCORE_KEYS, _ROUNDED_SCORES),
+            (_CELL_KEYS | _SCORE_KEYS, _ROUNDED_SCORES),
+        ]),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_cell_keys_and_report_rows(self, tmp_path, capsys, monkeypatch, mode):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--output-dir", "cells", "--seed", 7, "generate", VG, "--templates", "P1", "P2"]
+        assert run(argv) == 0
+        kept = [row[0] for p in sorted(Path("cells").glob("questions_*.csv"))
+                for row in list(csv.reader(io.StringIO(p.read_text())))[1:]]
+        Path("labels.csv").write_text(
+            "question,verdict\n" + "".join(f'"{q}",valid\n' for q in kept))
+        Path("counts.json").write_text(json.dumps([
+            {**_VIDEO_GAME, "n_design": 66, "unmatched_word_counts": [8, 8, 9, 9, 9]},
+            {**_VIDEO_GAME, "n_design": 66, "unmatched_word_counts": []},
+            {**_VIDEO_GAME, "n_design": 66},
+            _VIDEO_GAME,
+        ]))
+        flags, expected = self.MODES[mode]
+        assert run(["--output-dir", "out", "evaluate", "--candidates-dir", "cells", *flags]) == 0
+        cells = json.loads(Path("out", "report.json").read_text())["cells"]
+        assert [(set(cell), set(cell["rounded"])) for cell in cells] == expected
+        assert all(value is not None for cell in cells for value in cell.values())
+        capsys.readouterr()
+        assert run(["report", Path("out", "report.json")]) == 0
+        shown = capsys.readouterr().out.splitlines()[1:]
+        table = list(csv.reader(io.StringIO(Path("out", "summary.csv").read_text())))
+        widths = [max(map(len, column)) for column in zip(*table)]
+        assert shown == ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
+
+    def test_counts_fixture_summary_row(self, tmp_path):
+        fixture = tmp_path / "counts.json"
+        fixture.write_text(json.dumps(
+            [{**_VIDEO_GAME, "n_design": 66, "unmatched_word_counts": [8, 8, 9, 9, 9]}]))
+        assert run(["--output-dir", tmp_path, "evaluate", "--counts-fixture", fixture]) == 0
+        assert (tmp_path / "summary.csv").read_text().splitlines() == [
+            _SUMMARY_HEADER,
+            "Video Game,P1,gpt-3.5-turbo,549,1.51,375,204,0.5440,0.9623,0.6951,"
+            "5,8%,8.60,0.55,8,8.00,9.00,9",
+        ]
+
+    @pytest.mark.parametrize("cell,message", [
+        ({"n_triples": "x"}, "cells[0].n_triples must be int, not str"),
+        ({"precision": True}, "cells[0].precision must be float, not bool"),
+        ({"unmatched_design_cqs": [1]}, "cells[0].unmatched_design_cqs[0] must be str, not int"),
+        ({"human_precision": "0.5"}, "cells[0].human_precision must be float, not str"),
+    ])
+    def test_report_checks_every_cell_key(self, tmp_path, capsys, cell, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"cells": [cell]}))
+        assert run(["report", report]) == 1
+        assert capsys.readouterr().err == f"error: {report}: {message}\n"
