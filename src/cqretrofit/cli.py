@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -84,7 +85,8 @@ _MAX_COUNT = 2**53
 
 @dataclass(frozen=True, kw_only=True)
 class Sidecar:
-    """What ``evaluate`` reads of a cell's sidecar; ``n_candidates`` counts its CSV's rows."""
+    """What ``evaluate`` reads of a cell's sidecar; ``n_candidates`` counts its
+    CSV's rows and ``csv_sha256`` is the SHA-256 of its CSV's bytes."""
 
     ontology: str = ""
     template: str = ""
@@ -93,6 +95,7 @@ class Sidecar:
     n_questions: int
     n_triples: int
     n_candidates: Optional[int] = None
+    csv_sha256: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
@@ -259,9 +262,22 @@ def _questions_csv(texts: Sequence[str]) -> str:
     return _csv_text([[QUESTIONS_CSV_HEADER]] + [[t] for t in texts])
 
 
-def _question_row(c: filtration.CandidateCQ) -> dict:
-    reason = c.removal_reason.value if c.removal_reason else None
-    return {"text": c.text, "status": c.status, "removal_reason": reason}
+def _write_cell(csv_path: Path, candidates: Sequence[filtration.CandidateCQ], **meta) -> None:
+    """Write the kept questions' CSV and, beside it, the sidecar: ``meta``,
+    the counts, the CSV's SHA-256 and every question's decision."""
+    kept = filtration.kept_questions(candidates)
+    text = _questions_csv([c.text for c in kept])
+    gateway.atomic_write_text(csv_path, text)
+    questions = [
+        {"text": c.text, "status": c.status, "statement_ordinal": c.statement_ordinal,
+         "removal_reason": c.removal_reason.value if c.removal_reason else None}
+        for c in candidates
+    ]
+    sidecar = {**meta, "n_questions": len(candidates), "n_candidates": len(kept),
+               "csv_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+               "questions": questions}
+    gateway.atomic_write_text(csv_path.with_suffix(".json"), _dump_json(sidecar))
+    logger.info("wrote %s (%d kept of %d questions)", csv_path, len(kept), len(candidates))
 
 
 _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
@@ -287,9 +303,12 @@ def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.S
 
 
 def _reject_shared_outputs(what: str, inputs: Sequence[str], outputs: Sequence[object]) -> None:
-    """Raise ``ValueError`` naming the first two inputs that write one output."""
+    """Raise ``ValueError`` naming the first two inputs that write one
+    output, or the first input listed twice."""
     first: dict[object, str] = {}
     for name, out in zip(inputs, outputs):
+        if first.get(out) == name:
+            raise ValueError(f"{what}{name} is listed twice")
         if out in first:
             raise ValueError(f"{what}{first[out]} and {name} both write to {out}")
         first[out] = name
@@ -348,11 +367,6 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
     templates = cfg.resolved_templates()
     cells = [(t, p) for t in templates for p in cfg.providers]
     keys = [(t.id, p.provider_id, p.model_name) for t, p in cells]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise ValueError(
-                "generate: template {}, provider {}, model {} is listed twice".format(*key)
-            )
     stems = [f"questions_{_safe_name(t.id)}_{_safe_name(p.model_name)}" for t, p in cells]
     _reject_shared_outputs(
         "generate: ", ["template {}, provider {}, model {}".format(*key) for key in keys],
@@ -374,31 +388,15 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
         pool = iter(filtration.filter_questions(itertools.chain(*by_cell.values()), cfg.filtration))
         for (template, provider), stem, records in zip(cells, stems, by_cell.values()):
             n_questions = sum(len(r.questions) for r in records)
-            candidates = list(itertools.islice(pool, n_questions))
-            kept = filtration.kept_questions(candidates)
             csv_path = out_dir / f"{stem}.csv"
-            gateway.atomic_write_text(csv_path, _questions_csv([c.text for c in kept]))
-            sidecar = {
-                "ontology": sset.source_id,
-                "template": template.id,
-                "provider": provider.provider_id,
-                "model": provider.model_name,
-                "seed": cfg.seed,
-                "n_triples": sset.counts.kept,
-                "ingest_counts": dataclasses.asdict(sset.counts),
-                "n_questions": n_questions,
-                "n_candidates": len(kept),
-                "cache_hits": sum(r.from_cache for r in records),
-                "questions": [
-                    {**_question_row(c), "statement_ordinal": c.statement_ordinal}
-                    for c in candidates
-                ],
-            }
-            gateway.atomic_write_text(out_dir / f"{stem}.json", _dump_json(sidecar))
-            written.append(csv_path)
-            logger.info(
-                "wrote %s (%d kept of %d questions)", csv_path, len(kept), n_questions
+            _write_cell(
+                csv_path, list(itertools.islice(pool, n_questions)),
+                ontology=sset.source_id, template=template.id, provider=provider.provider_id,
+                model=provider.model_name, seed=cfg.seed, n_triples=sset.counts.kept,
+                ingest_counts=dataclasses.asdict(sset.counts),
+                cache_hits=sum(r.from_cache for r in records),
             )
+            written.append(csv_path)
     return written
 
 
@@ -413,17 +411,8 @@ def run_filter(
     records = [
         gateway.GenerationRecord(i, "-", "-", (q,)) for i, q in enumerate(rows)
     ]
-    candidates = filtration.filter_questions(records, cfg.filtration)
-    kept = filtration.kept_questions(candidates)
     out_path = output_csv or in_path.with_name(in_path.stem + "_filtered.csv")
-    gateway.atomic_write_text(out_path, _questions_csv([c.text for c in kept]))
-    sidecar = {
-        "input": str(in_path),
-        "n_questions": len(rows),
-        "n_candidates": len(kept),
-        "questions": [_question_row(c) for c in candidates],
-    }
-    gateway.atomic_write_text(out_path.with_suffix(".json"), _dump_json(sidecar))
+    _write_cell(out_path, filtration.filter_questions(records, cfg.filtration), input=str(in_path))
     return out_path
 
 
@@ -442,6 +431,10 @@ def _read_cell(csv_path: Path) -> tuple[Sidecar, list[str]]:
     if meta.n_candidates not in (None, len(kept)):
         raise ValueError(f"{csv_path}: n_candidates {meta.n_candidates} in {sidecar_path}, "
                          f"but {len(kept)} rows; re-run generate")
+    if meta.csv_sha256 is not None and (
+            meta.csv_sha256 != hashlib.sha256(csv_path.read_bytes()).hexdigest()):
+        raise ValueError(f"{csv_path}: SHA-256 differs from csv_sha256 in {sidecar_path}; "
+                         "re-run generate")
     return meta, kept
 
 

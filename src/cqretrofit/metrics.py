@@ -57,7 +57,7 @@ class EvalMetrics:
     n_triples: int
     mean_q_per_triple: float
     n_candidates: int
-    n_design: int
+    n_design: Optional[int]
 
     def rounded(self) -> dict:
         """Display values, Table-2 style."""
@@ -99,7 +99,7 @@ def metrics_from_counts(
         n_triples=n_triples,
         mean_q_per_triple=mean_questions_per_triple(n_questions, n_triples),
         n_candidates=tp + fp,
-        n_design=n_design if n_design is not None else -1,
+        n_design=n_design,
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -407,6 +408,15 @@ class TestFilterCommand:
         reasons = [q["removal_reason"] for q in sidecar["questions"]]
         assert reasons == ["modelling_primitive", None, "duplicate"]
 
+    def test_sidecar_rows_carry_the_input_position(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        questions = ["Who wrote it?", "Is Multiplayer a class?", "Who wrote it?", "Why so?"]
+        src.write_text("Questions\n" + "".join(f"{q}\n\n" for q in questions))
+        assert run(["filter", src]) == 0
+        sidecar = json.loads(Path(capsys.readouterr().out.strip()).with_suffix(".json").read_text())
+        rows = [(q["statement_ordinal"], q["text"]) for q in sidecar["questions"]]
+        assert rows == list(enumerate(questions))
+
     def test_strictness_off(self, tmp_path, capsys):
         src = tmp_path / "input.csv"
         src.write_text("Questions\nIs Multiplayer a class?\n")
@@ -752,6 +762,29 @@ class TestEvaluate:
             "re-run generate\n"
         )
         assert not (out / "report.json").exists()
+
+    def test_csv_of_as_many_other_rows_is_error(self, tmp_path, capsys):
+        out = self._generate(tmp_path)
+        csv_path = out / "questions_P1_mock-small.csv"
+        sidecar = csv_path.with_suffix(".json")
+        assert json.loads(sidecar.read_text())["csv_sha256"] == hashlib.sha256(
+            csv_path.read_bytes()).hexdigest()
+        other = tmp_path / "other"
+        run(["--output-dir", other, "--seed", 8, "generate", VG, "--templates", "P1"])
+        rows = (other / csv_path.name).read_text().splitlines()
+        n_rows = len(csv_path.read_text().splitlines())
+        rows = (rows + rows)[:n_rows]  # another run's questions, as many rows
+        csv_path.write_text("\n".join(rows) + "\n")
+        argv = ["--output-dir", out, "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: SHA-256 differs from csv_sha256 in {sidecar}; re-run generate\n"
+        )
+        assert not (out / "report.json").exists()
+        meta = json.loads(sidecar.read_text())
+        del meta["csv_sha256"]  # a sidecar without the digest is not checked
+        sidecar.write_text(json.dumps(meta))
+        assert run(argv) == 0
 
 
 class TestReportCommand:
@@ -1131,6 +1164,14 @@ class TestOutputCollisions:
         )
         assert not Path("out").exists() and not Path("cache").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "generate"])
+    def test_ontology_listed_twice(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("a.nt").write_text(Path(VG).read_text())
+        assert run(["--output-dir", "out", "--cache-dir", "cache", command, "a.nt", "a.nt"]) == 1
+        assert capsys.readouterr().err == "error: ontologies a.nt is listed twice\n"
+        assert not Path("out").exists() and not Path("cache").exists()
+
     @pytest.mark.parametrize("models", [("meta/llama:2", "meta_llama_2"), ("m", "m")])
     def test_cells_sharing_a_file(self, tmp_path, capsys, models):
         config = {
@@ -1236,7 +1277,7 @@ class TestReportShape:
             (_CELL_KEYS | _SCORE_KEYS | {"unmatched_stats"}, _ROUNDED_SCORES),
             (_CELL_KEYS | _SCORE_KEYS | {"unmatched_stats"}, _ROUNDED_SCORES),
             (_CELL_KEYS | _SCORE_KEYS, _ROUNDED_SCORES),
-            (_CELL_KEYS | _SCORE_KEYS, _ROUNDED_SCORES),
+            (_CELL_KEYS | (_SCORE_KEYS - {"n_design"}), _ROUNDED_SCORES),
         ]),
     }
 

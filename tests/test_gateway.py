@@ -155,6 +155,20 @@ class TestCache:
         assert complete(prompt, mock_provider(), cache).from_cache is True
 
 
+    def test_miss_is_one_read_and_silent(self, prompt, tmp_path, caplog, monkeypatch):
+        cache = ResponseCache(tmp_path)
+        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        exists_calls = []
+        real_exists = gateway.Path.exists
+        monkeypatch.setattr(gateway.Path, "exists",
+                            lambda self, *a, **k: exists_calls.append(self) or real_exists(self))
+        assert cache.get(digest) is None
+        assert caplog.text == "" and exists_calls == []
+        (tmp_path / f"{digest}.json").write_text("{not json")
+        assert cache.get(digest) is None
+        assert "discarding unreadable cache entry" in caplog.text and exists_calls == []
+
+
 class TestAtomicWrite:
     def test_concurrent_writers_never_raise_or_tear(self, tmp_path):
         path = tmp_path / "out" / "entry.json"
@@ -364,12 +378,13 @@ class TestRetryAfter:
         responses.append(_FakeResponse(200, chat_payload("q?")))
         slept = []
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: responses.pop(0))
-        monkeypatch.setattr(gateway.time, "sleep", slept.append)
+        slots = gateway.DispatchSlots(1)
+        slots.failed.wait = slept.append  # a backoff waits on the failure event
         kw.setdefault("max_retries", len(statuses_and_headers))
         cfg = ProviderConfig(
             "fake", "fake-model", endpoint_url="http://127.0.0.1:9/v1", retry_backoff_s=0.5, **kw
         )
-        assert complete(prompt, cfg).text == "q?"
+        assert complete(prompt, cfg, slots=slots).text == "q?"
         assert responses == []
         return slept
 
