@@ -17,7 +17,6 @@ from .filtration import (
     is_subjective_narrative,
     kept_questions,
     normalize_question,
-    token_sort_ratio,
 )
 from .gateway import (
     GenerationRecord,

@@ -221,11 +221,12 @@ def _from_json(tp, value, key: str = "", lenient: bool = False):
 
 def _read_input(path: Union[str, Path], read: Callable[[Union[str, Path]], _T]) -> _T:
     """``read(path)`` for an input file. What its content can raise there
-    (invalid UTF-8, a malformed CSV, a bad regex, a value the file's role
-    rejects) is raised as :class:`ConfigError` naming the file."""
+    (invalid UTF-8, a malformed CSV or ontology, a bad regex, a value the
+    file's role rejects) is raised as :class:`ConfigError` naming the file."""
     try:
         return read(path)
-    except (ValueError, csv.Error, re.error, prompts.PromptError, metrics.MetricsError) as exc:
+    except (ValueError, csv.Error, re.error, ontology.OntologyError, prompts.PromptError,
+            metrics.MetricsError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -295,10 +296,8 @@ def _tsv_row(fields: Sequence[str]) -> str:
 
 def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.StatementSet:
     fmt = format_override or ontology.format_for_path(path)
-    try:
-        raw = ontology.parse_ontology(Path(path).read_text(encoding="utf-8-sig"), fmt)
-    except (ontology.OntologyError, UnicodeDecodeError) as exc:
-        raise ontology.OntologyError(f"{path}: {exc}") from exc
+    raw = _read_input(path, lambda p: ontology.parse_ontology(
+        Path(p).read_text(encoding="utf-8-sig"), fmt))
     return ontology.filter_statements(raw, source_id=Path(path).stem)
 
 
@@ -403,7 +402,9 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
 def run_filter(
     cfg: RunConfig, input_csv: Union[str, Path], output_csv: Optional[Path] = None
 ) -> Path:
-    """Standalone filtration of an existing questions CSV."""
+    """Standalone filtration of an existing questions CSV. When the input has
+    a sidecar, the output's sidecar carries its cell and triple count, so
+    ``evaluate`` reads the output as one more cell."""
     in_path = Path(input_csv)
     rows = [q for q in _read_input(in_path, _first_column) if q.strip()]
     if rows and rows[0].strip() == QUESTIONS_CSV_HEADER:
@@ -412,7 +413,13 @@ def run_filter(
         gateway.GenerationRecord(i, "-", "-", (q,)) for i, q in enumerate(rows)
     ]
     out_path = output_csv or in_path.with_name(in_path.stem + "_filtered.csv")
-    _write_cell(out_path, filtration.filter_questions(records, cfg.filtration), input=str(in_path))
+    sidecar_path, meta = in_path.with_suffix(".json"), {}
+    if sidecar_path.exists():
+        source = load_json(sidecar_path, Sidecar, lenient=True)
+        meta = {k: getattr(source, k)
+                for k in ("ontology", "template", "provider", "model", "n_triples")}
+    _write_cell(out_path, filtration.filter_questions(records, cfg.filtration),
+                input=str(in_path), **meta)
     return out_path
 
 
@@ -543,8 +550,6 @@ def run_evaluate(
         design = None
         if cfg.design_cq_path:
             design = _read_input(cfg.design_cq_path, matcher.load_design_cqs)
-            if not design.questions:
-                raise ValueError(f"{cfg.design_cq_path}: design CQ set is empty")
         if design is None and labels is None:
             raise ValueError(
                 "evaluate needs --design, --validation-labels, or --counts-fixture"
@@ -605,9 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate = sub.add_parser("generate", help="generate and filter questions")
     p_generate.add_argument("ontology_paths", nargs="*", metavar="ontologies")
     p_generate.add_argument("--format", choices=["ntriples", "turtle"])
-    p_generate.add_argument(
-        "--templates", nargs="+", choices=["P1", "P2", "P3"], help="default: all three"
-    )
+    p_generate.add_argument("--templates", nargs="+", help="default: all three",
+                            choices=[t.id for t in prompts.list_templates()])
     p_generate.add_argument("--template-file", help="extra template file with a <statement> slot")
     _add_filtration_flags(p_generate)
 
@@ -622,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--candidates-dir", help="directory with questions_*.csv")
     p_eval.add_argument("--tau", type=float, dest="matcher.similarity_threshold", metavar="TAU",
                         help="similarity threshold")
-    p_eval.add_argument("--backend", choices=["lexical_fallback", "http_embedding"],
+    p_eval.add_argument("--backend", choices=[b.value for b in matcher.MatcherBackend],
                         dest="matcher.backend")
     p_eval.add_argument("--embedding-url", dest="matcher.endpoint_url", metavar="EMBEDDING_URL",
                         help="http_embedding endpoint")
@@ -641,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_filtration_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strictness", choices=["off", "lenient", "strict"],
+    parser.add_argument("--strictness", choices=[s.value for s in filtration.Strictness],
                         dest="filtration.strictness")
     parser.add_argument("--dedup-threshold", type=int, dest="filtration.dedup_ratio_threshold",
                         metavar="DEDUP_THRESHOLD")
@@ -704,7 +708,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for t in shipped:
                 print(f"{t.id}: {t.body}")
     except (
-        ontology.OntologyError,
         prompts.PromptError,
         gateway.GatewayError,
         matcher.MatcherError,

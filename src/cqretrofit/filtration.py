@@ -3,9 +3,8 @@ subjective/narrative questions.
 
 Rules apply in a fixed order (malformed, duplicate, modelling-primitive,
 subjective/narrative) and the first matching rule supplies the removal
-reason. Pattern tables are data, not code: both lexicons can be replaced
-from plain text files (one regex per line, '#' comments) to extend the
-defaults below.
+reason. Pattern tables are data, not code: a plain text file (one regex
+per line, '#' comments) replaces either default table below.
 """
 from __future__ import annotations
 
@@ -119,6 +118,8 @@ class FiltrationConfig:
             ]
         self._primitive_res = tuple(primitive)
         self._narrative_res = tuple(re.compile(p) for p in self.narrative_patterns)
+        if self.strictness is Strictness.OFF:  # after compiling: a bad pattern still fails
+            self._primitive_res = self._narrative_res = ()
 
 
 _DEFAULT_CONFIG = FiltrationConfig()
@@ -196,27 +197,16 @@ def _token_sorted(text: str) -> str:
     return " ".join(sorted(tokens))
 
 
-def token_sort_ratio(a: str, b: str) -> float:
-    """Similarity on a 0-100 scale: 100 x (1 - edit distance between the
-    token-sorted strings, normalized by the longer one)."""
-    sa = _token_sorted(a)
-    sb = _token_sorted(b)
-    longest = max(len(sa), len(sb))
-    if longest == 0:
-        return 100.0
-    return 100.0 * (1.0 - _levenshtein(sa, sb) / longest)
-
-
 def is_duplicate(a: str, b: str, threshold: int = DEFAULT_DEDUP_THRESHOLD) -> bool:
-    return token_sort_ratio(a, b) >= threshold
+    """True when :func:`dedup` of the pair at ``threshold`` removes ``b``."""
+    pair = [CandidateCQ(a, 0, "", ""), CandidateCQ(b, 1, "", "")]
+    return not dedup(pair, FiltrationConfig(dedup_ratio_threshold=threshold))[1].kept
 
 
 def is_modelling_primitive(q: str, cfg: Optional[FiltrationConfig] = None) -> bool:
     """True when the (normalized) question asks about a modelling
     construct instead of the domain. Always false at strictness=off."""
     cfg = cfg or _DEFAULT_CONFIG
-    if cfg.strictness is Strictness.OFF:
-        return False
     return any(p.search(q) for p in cfg._primitive_res)
 
 
@@ -224,8 +214,6 @@ def is_subjective_narrative(q: str, cfg: Optional[FiltrationConfig] = None) -> b
     """True when the (normalized) question calls for opinion, personal
     habits, or free-form narrative. Always false at strictness=off."""
     cfg = cfg or _DEFAULT_CONFIG
-    if cfg.strictness is Strictness.OFF:
-        return False
     return any(p.search(q) for p in cfg._narrative_res)
 
 
@@ -254,8 +242,8 @@ def _near_form(
     lengths: np.ndarray, threshold: int,
 ) -> bool:
     """True when ``s`` is within ``threshold`` of a kept form, by the
-    same ratio test as :func:`token_sort_ratio`; ``counts`` holds the
-    kept forms' count rows as columns and ``lengths`` their lengths."""
+    ratio test of :func:`dedup`; ``counts`` holds the kept forms' count
+    rows as columns and ``lengths`` their lengths."""
     n = len(s)
     longest = np.maximum(lengths, n)
     bound = longest - np.minimum(counts, row[:, None]).sum(0)
@@ -275,8 +263,12 @@ def dedup(
     Scans in order; the first occurrence stays as the kept
     representative and later questions are compared against kept
     representatives only. By default questions are pooled per
-    (template, provider, model); ``cfg.global_dedup`` uses one pool. The
-    decisions are those of :func:`is_duplicate` on normalized questions.
+    (template, provider, model); ``cfg.global_dedup`` uses one pool. A
+    question is a near-duplicate when ``100 * (1 - d / longest)`` reaches
+    the threshold. ``d`` is the edit distance between the token-sorted
+    forms (the lowercased text's ``[a-z0-9]+`` tokens, sorted and joined
+    by spaces), ``longest`` the longer form's length; equal forms have
+    ratio 100.
 
     Each pool keeps a character-count column per kept token-sorted form.
     Against all of them at once, the frequency distance of Kahveci & Singh

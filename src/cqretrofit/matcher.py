@@ -89,16 +89,22 @@ class MatcherConfig:
             raise ValueError("similarity_threshold must be in [0, 1]")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.request_timeout_s <= 0:
+            raise ValueError("request_timeout_s must be positive")
         if self.backend is MatcherBackend.HTTP_EMBEDDING and not self.endpoint_url:
             raise ValueError("http_embedding backend needs endpoint_url")
 
 
 @dataclass(frozen=True)
 class DesignCQSet:
-    """The ontology engineers' original questions, in file order."""
+    """The ontology engineers' original questions, in file order; at least one."""
 
     questions: tuple[str, ...]
     source_path: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.questions:
+            raise ValueError("design CQ set is empty")
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -296,8 +302,6 @@ def match_candidates(
     inputs and backend.
     """
     cfg = cfg or MatcherConfig()
-    if not design.questions:
-        raise ValueError("design CQ set is empty")
     tau = cfg.similarity_threshold
     candidate_texts = [c.text if isinstance(c, CandidateCQ) else c for c in candidates]
     if design_matrix is None:

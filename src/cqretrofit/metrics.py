@@ -126,13 +126,9 @@ def percentile_linear(sorted_values: Sequence[float], p: float) -> float:
     """Percentile by linear interpolation at index p x (n - 1)."""
     if not sorted_values:
         raise ValueError("empty input")
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
     position = p * (len(sorted_values) - 1)
     lower = math.floor(position)
     upper = math.ceil(position)
-    if lower == upper:
-        return float(sorted_values[lower])
     fraction = position - lower
     return sorted_values[lower] + (sorted_values[upper] - sorted_values[lower]) * fraction
 

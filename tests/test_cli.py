@@ -342,6 +342,15 @@ class TestConfig:
             ({"templates": "P1"}, "templates must be a list"),
             ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
             ({"matcher": {"dimension": 0}}, "matcher: dimension must be >= 1"),
+            (
+                {"matcher": {"backend": "http_embedding", "endpoint_url": "http://localhost:1/e",
+                             "request_timeout_s": 0}},
+                "run.json: matcher: request_timeout_s must be positive",
+            ),
+            (
+                {"filtration": {"strictness": "off", "narrative_patterns": ["("]}},
+                "run.json: filtration: missing ), unterminated subpattern at position 0",
+            ),
             ({"parallelism": 0}, "run.json: parallelism must be >= 1"),
             (
                 {"providers": [{"provider_id": "x", "model_name": "m", "retry_backoff_s": -1}]},
@@ -464,6 +473,20 @@ class TestPatternFiles:
         err = capsys.readouterr().err
         assert err == "error: bad.txt: missing ), unterminated subpattern at position 5\n"
         assert not Path("out").exists()
+
+    def test_strictness_off_ignores_the_files(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        src.write_text("Questions\nWhich zebras race?\nWhat is an achievement?\n")
+        primitive = tmp_path / "primitive.txt"
+        primitive.write_text("zebra\n")
+        narrative = tmp_path / "narrative.txt"
+        narrative.write_text("achievement\n")
+        argv = ["filter", src, "--strictness", "off", "--primitive-lexicon", primitive,
+                "--narrative-patterns", narrative]
+        assert run(argv) == 0
+        out_path = Path(capsys.readouterr().out.strip())
+        sidecar = json.loads(out_path.with_suffix(".json").read_text())
+        assert [q["removal_reason"] for q in sidecar["questions"]] == [None, None]
 
 
 class TestEvaluate:
@@ -685,6 +708,39 @@ class TestEvaluate:
         cell = json.loads((out / "report.json").read_text())["cells"][0]
         assert cell["rounded"]["human_precision"] == 0.8738
         assert cell["rounded"]["mean_q_per_triple"] == 1.79
+
+    def test_empty_design_file_is_error(self, tmp_path, capsys):
+        out = self._generate(tmp_path)
+        design = tmp_path / "design.txt"
+        design.write_text("\n  \n")
+        assert run(["--output-dir", out, "evaluate", "--design", design]) == 1
+        assert capsys.readouterr().err == f"error: {design}: design CQ set is empty\n"
+        assert not (out / "report.json").exists()
+
+    def test_filter_output_is_one_more_cell(self, tmp_path, capsys):
+        out = self._generate(tmp_path, templates=("P1", "P2", "P3"))
+        src = out / "questions_P1_mock-small.csv"
+        assert run(["filter", src, "--strictness", "strict"]) == 0
+        filtered = Path(capsys.readouterr().out.strip())
+        source = json.loads(src.with_suffix(".json").read_text())
+        meta = json.loads(filtered.with_suffix(".json").read_text())
+        for key in ("ontology", "template", "provider", "model", "n_triples"):
+            assert meta[key] == source[key]
+        assert meta["n_questions"] == source["n_candidates"]  # the questions filter read
+        argv = ["--output-dir", out, "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 0
+        rows = list(csv.DictReader(io.StringIO((out / "summary.csv").read_text())))
+        assert [r["Prompt"] for r in rows] == ["P1", "P1", "P2", "P3"]
+        row = rows[1]  # questions_P1_mock-small_filtered.csv sorts after its input
+        assert (row["LLM"], row["No. Q."]) == ("mock-small", str(source["n_candidates"]))
+        assert row["No. Candidate CQs"] == str(meta["n_candidates"])
+
+    def test_filter_input_without_sidecar_keeps_its_sidecar_keys(self, tmp_path, capsys):
+        src = tmp_path / "input.csv"
+        src.write_text("Questions\nWho wrote it?\n")
+        assert run(["filter", src]) == 0
+        meta = json.loads(Path(capsys.readouterr().out.strip()).with_suffix(".json").read_text())
+        assert set(meta) == {"input", "n_questions", "n_candidates", "csv_sha256", "questions"}
 
     def test_missing_design_and_labels_is_error(self, tmp_path, capsys):
         out = self._generate(tmp_path)

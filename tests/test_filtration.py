@@ -21,7 +21,6 @@ from cqretrofit.filtration import (
     is_subjective_narrative,
     kept_questions,
     normalize_question,
-    token_sort_ratio,
 )
 from cqretrofit.gateway import GenerationRecord
 
@@ -116,9 +115,11 @@ class TestNormalizeQuestion:
 
 
 class TestTokenSortRatio:
+    """The ratio on token-sorted forms by which :func:`dedup` decides, seen
+    through :func:`is_duplicate`, its decision on one pair."""
+
     def test_identical(self):
         q = "what is a multiplayer achievement?"
-        assert token_sort_ratio(q, q) == 100.0
         assert is_duplicate(q, q, 100)
 
     def test_table2_pair_not_duplicate_at_90(self):
@@ -140,7 +141,12 @@ class TestTokenSortRatio:
         assert not is_duplicate(a, b, 90)
 
     def test_word_order_insensitive(self):
-        assert token_sort_ratio("a planet what is?", "what is a planet?") == 100.0
+        assert is_duplicate("a planet what is?", "what is a planet?", 100)
+
+    @pytest.mark.parametrize("threshold", [-1, 101, 150])
+    def test_threshold_outside_0_100_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"dedup_ratio_threshold must be in \[0, 100\]"):
+            is_duplicate("a?", "a?", threshold)
 
     # The letter-and-space alphabets make token-sorted forms run past the
     # 64 bits of a machine word.
@@ -153,7 +159,10 @@ class TestTokenSortRatio:
     @given(_long_text, _long_text)
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle(self, a, b):
-        assert token_sort_ratio(a, b) == pytest.approx(oracle_ratio(a, b))
+        sa, sb = filtration._token_sorted(a), filtration._token_sorted(b)
+        assert filtration._levenshtein(sa, sb) == oracle_levenshtein(sa, sb)
+        for threshold in (0, 50, 70, 90, 100):
+            assert is_duplicate(a, b, threshold) == (oracle_ratio(a, b) >= threshold)
 
 
 class TestDedup:

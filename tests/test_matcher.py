@@ -484,6 +484,10 @@ class TestDesignCQLoading:
         design = load_design_cqs(path)
         assert design.questions == ("What is X?", "Who owns Y?")
 
+    def test_empty_set_is_rejected_on_construction(self):
+        with pytest.raises(ValueError, match="^design CQ set is empty$"):
+            DesignCQSet(())
+
 
 class _FakeEmbeddingResponse:
     def __init__(self, payload):
