@@ -221,12 +221,13 @@ def _from_json(tp, value, key: str = "", lenient: bool = False):
 
 def _read_input(path: Union[str, Path], read: Callable[[Union[str, Path]], _T]) -> _T:
     """``read(path)`` for an input file. What its content can raise there
-    (invalid UTF-8, a malformed CSV or ontology, a bad regex, a value the
-    file's role rejects) is raised as :class:`ConfigError` naming the file."""
+    (invalid UTF-8, a malformed CSV or ontology, a bad regex, JSON nested
+    too deep, a value the file's role rejects) is raised as
+    :class:`ConfigError` naming the file."""
     try:
         return read(path)
-    except (ValueError, csv.Error, re.error, ontology.OntologyError, prompts.PromptError,
-            metrics.MetricsError) as exc:
+    except (ValueError, csv.Error, re.error, RecursionError, ontology.OntologyError,
+            prompts.PromptError, metrics.MetricsError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -259,15 +260,11 @@ def _csv_text(rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _questions_csv(texts: Sequence[str]) -> str:
-    return _csv_text([[QUESTIONS_CSV_HEADER]] + [[t] for t in texts])
-
-
 def _write_cell(csv_path: Path, candidates: Sequence[filtration.CandidateCQ], **meta) -> None:
     """Write the kept questions' CSV and, beside it, the sidecar: ``meta``,
     the counts, the CSV's SHA-256 and every question's decision."""
     kept = filtration.kept_questions(candidates)
-    text = _questions_csv([c.text for c in kept])
+    text = _csv_text([[QUESTIONS_CSV_HEADER]] + [[c.text] for c in kept])
     gateway.atomic_write_text(csv_path, text)
     questions = [
         {"text": c.text, "status": c.status, "statement_ordinal": c.statement_ordinal,
@@ -299,6 +296,11 @@ def _load_statement_set(path: str, format_override: Optional[str]) -> ontology.S
     raw = _read_input(path, lambda p: ontology.parse_ontology(
         Path(p).read_text(encoding="utf-8-sig"), fmt))
     return ontology.filter_statements(raw, source_id=Path(path).stem)
+
+
+def _ingest_counts(counts: ontology.IngestCounts) -> str:
+    """The counts as ``extract`` prints them: ``parsed=2 excluded_blank=1 ...``."""
+    return " ".join(f"{k}={v}" for k, v in dataclasses.asdict(counts).items())
 
 
 def _reject_shared_outputs(what: str, inputs: Sequence[str], outputs: Sequence[object]) -> None:
@@ -346,12 +348,7 @@ def run_extract(cfg: RunConfig, format_override: Optional[str] = None) -> list[P
         ]
         out_path = out_dir / "statements.tsv"
         gateway.atomic_write_text(out_path, "\n".join(rows) + ("\n" if rows else ""))
-        c = sset.counts
-        print(
-            f"{path}: parsed={c.parsed} excluded_blank={c.excluded_blank} "
-            f"excluded_opaque={c.excluded_opaque} kept={c.kept}",
-            file=sys.stderr,
-        )
+        print(f"{path}: {_ingest_counts(sset.counts)}", file=sys.stderr)
         written.append(out_path)
     return written
 
@@ -376,6 +373,8 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
     written = []
     for path, out_dir in zip(cfg.ontology_paths, out_dirs):
         sset = _load_statement_set(path, format_override)
+        if not sset.statements:  # no cell could report a rate per triple
+            raise ValueError(f"{path}: no statements to prompt ({_ingest_counts(sset.counts)})")
         grid = gateway.generate_records(
             sset, templates, cfg.providers,
             cache=cache, seed=cfg.seed, parallelism=cfg.parallelism,
@@ -463,13 +462,11 @@ def _report_cell(
     """One ``report.json`` cell from a sidecar or counts-fixture entry
     (``meta``) and its metrics. Without matching, only the question
     counts and rate are reported."""
-    if matched:
-        rounded = m.rounded()
-        scores = {"n_design": m.n_design, "n_validated": m.tp, "n_unmatched_design": m.fn,
-                  "precision": m.precision, "recall": m.recall, "f1": m.f1}
-    else:
-        rounded = {"mean_q_per_triple": metrics.round_half_up(m.mean_q_per_triple, 2)}
-        scores = {}
+    rounded = m.rounded()
+    if not matched:
+        rounded = {"mean_q_per_triple": rounded["mean_q_per_triple"]}
+    scores = {"n_design": m.n_design, "n_validated": m.tp, "n_unmatched_design": m.fn,
+              "precision": m.precision, "recall": m.recall, "f1": m.f1} if matched else {}
     if human_precision is not None:
         rounded["human_precision"] = metrics.round_half_up(human_precision, 4)
     stats = None
@@ -605,11 +602,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="parse ontologies into statements.tsv")
     p_extract.add_argument("ontology_paths", nargs="+", metavar="ontologies")
-    p_extract.add_argument("--format", choices=["ntriples", "turtle"])
+    p_extract.add_argument("--format", choices=list(ontology.FORMATS))
 
     p_generate = sub.add_parser("generate", help="generate and filter questions")
     p_generate.add_argument("ontology_paths", nargs="*", metavar="ontologies")
-    p_generate.add_argument("--format", choices=["ntriples", "turtle"])
+    p_generate.add_argument("--format", choices=list(ontology.FORMATS))
     p_generate.add_argument("--templates", nargs="+", help="default: all three",
                             choices=[t.id for t in prompts.list_templates()])
     p_generate.add_argument("--template-file", help="extra template file with a <statement> slot")
@@ -702,10 +699,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             path = Path(args.report_json or Path(cfg.output_dir) / "report.json")
             print(run_report(path))
         elif args.command == "templates":
-            shipped = list(prompts.list_templates())
-            if args.template_file:
-                shipped.append(_read_input(args.template_file, prompts.load_template_file))
-            for t in shipped:
+            cfg = dataclasses.replace(cfg, templates=[t.id for t in prompts.list_templates()])
+            for t in cfg.resolved_templates():
                 print(f"{t.id}: {t.body}")
     except (
         prompts.PromptError,

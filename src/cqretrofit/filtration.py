@@ -313,10 +313,6 @@ def dedup(
     return out
 
 
-def _is_malformed(normalized: str) -> bool:
-    return len(normalized) < 2 or not normalized.endswith("?")
-
-
 def filter_questions(
     records: Iterable[GenerationRecord], cfg: Optional[FiltrationConfig] = None
 ) -> list[CandidateCQ]:
@@ -337,7 +333,7 @@ def filter_questions(
     ]
     normalized = [normalize_question(c.text) for c in candidates]
     staged = [
-        c.removed(RemovalReason.MALFORMED) if _is_malformed(n) else c
+        c.removed(RemovalReason.MALFORMED) if len(n) < 2 or not n.endswith("?") else c
         for c, n in zip(candidates, normalized)
     ]
     staged = dedup(staged, cfg)

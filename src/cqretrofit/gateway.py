@@ -117,7 +117,7 @@ class ProviderConfig:
 
     @property
     def is_mock(self) -> bool:
-        return self.endpoint_url is None or self.provider_id == MOCK_PROVIDER_ID
+        return self.endpoint_url is None
 
     def api_key_env_var(self) -> str:
         suffix = re.sub(r"[^A-Za-z0-9]", "_", self.provider_id).upper()
@@ -201,7 +201,7 @@ class ResponseCache:
             entry = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
-        except (OSError, ValueError):  # ValueError: invalid JSON or UTF-8
+        except (OSError, ValueError, RecursionError):  # invalid JSON or UTF-8, or nested too deep
             entry = None
         if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
             logger.warning("discarding unreadable cache entry %s", path)
@@ -356,6 +356,8 @@ def _http_complete(
         except requests.ConnectionError as exc:
             failure = GatewayError(f"{cfg.provider_id}: connection failed: {exc}")
             continue
+        except requests.RequestException as exc:  # a bad URL, too many redirects, ...
+            raise GatewayError(f"{cfg.provider_id}: request failed: {exc}") from exc
 
         if resp.status_code == 200:
             return _parse_completion(resp, cfg, started)
@@ -420,17 +422,13 @@ def _parse_completion(
     return text, finish_reason == "length", latency_ms
 
 
-_ENUM_MARKER_RE = re.compile(r"^(?:\d+[.)]|[-*•])\s*")
+_ENUM_MARKERS_RE = re.compile(r"(?:(?:\d+[.)]|[-*•])\s*)*")
 _QUOTE_PAIRS = (('"', '"'), ("'", "'"), ("“", "”"))
 
 
 def _clean_line(line: str) -> Optional[str]:
     text = line.strip()
-    while True:
-        stripped = _ENUM_MARKER_RE.sub("", text, count=1)
-        if stripped == text:
-            break
-        text = stripped.strip()
+    text = text[_ENUM_MARKERS_RE.match(text).end():]
     for opener, closer in _QUOTE_PAIRS:
         if len(text) >= 2 and text.startswith(opener) and text.endswith(closer):
             text = text[1:-1].strip()

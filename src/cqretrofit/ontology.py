@@ -14,6 +14,8 @@ raises :class:`UnsupportedConstructError` naming the construct.
 
 Literal datatype and language tags are validated syntactically and then
 dropped: a term keeps only its lexical form.
+
+:data:`FORMATS` lists the formats :func:`parse_ontology` reads.
 """
 from __future__ import annotations
 
@@ -576,6 +578,9 @@ def _parse_ntriples(text: str) -> list[tuple]:
 
 
 _TERM_OF_KIND = {"iri": Term.iri, "literal": Term.literal, "blank": Term.blank}
+# name -> (reader, aliases); the first alias is the file suffix of the format.
+FORMATS = {"ntriples": (_parse_ntriples, ("nt", "n-triples")),
+           "turtle": (_parse_turtle, ("ttl",))}
 
 
 class _Terms(dict):
@@ -596,23 +601,20 @@ def parse_ontology(source_text: str, format: str) -> list[Statement]:
 
     Args:
         source_text: Full document text.
-        format: ``"ntriples"`` or ``"turtle"`` (aliases ``nt``/``ttl``).
+        format: A name or alias in :data:`FORMATS`, in any case.
 
     Raises:
         OntologySyntaxError: Malformed input, with line/column.
         UnsupportedConstructError: Turtle outside the supported subset.
     """
-    fmt = format.lower()
-    if fmt in ("ntriples", "nt", "n-triples"):
-        raw = _parse_ntriples(source_text)
-    elif fmt in ("turtle", "ttl"):
-        raw = _parse_turtle(source_text)
-    else:
-        raise ValueError(f"unknown format {format!r}; use 'ntriples' or 'turtle'")
+    read = next((reader for name, (reader, aliases) in FORMATS.items()
+                 if format.lower() in (name, *aliases)), None)
+    if read is None:
+        raise ValueError(f"unknown format {format!r}; use {' or '.join(map(repr, FORMATS))}")
     terms = _Terms()
     return [
         Statement(terms[s], terms[p], terms[o], ordinal)
-        for ordinal, (s, p, o) in enumerate(dict.fromkeys(raw))
+        for ordinal, (s, p, o) in enumerate(dict.fromkeys(read(source_text)))
     ]
 
 
@@ -655,10 +657,8 @@ def to_ntriples(statements: Iterable[Statement]) -> str:
 
 
 def format_for_path(path: str) -> str:
-    """Infer the parse format from a file extension."""
-    lower = str(path).lower()
-    if lower.endswith(".nt"):
-        return "ntriples"
-    if lower.endswith(".ttl"):
-        return "turtle"
+    """Infer the parse format from a file extension: a format's first alias."""
+    for name, (_, aliases) in FORMATS.items():
+        if str(path).lower().endswith("." + aliases[0]):
+            return name
     raise ValueError(f"cannot infer format from {path!r}; pass --format")

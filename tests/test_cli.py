@@ -17,7 +17,7 @@ from cqretrofit.metrics import load_validation_labels
 from cqretrofit.ontology import filter_statements, parse_ontology
 from cqretrofit.prompts import load_template_file
 
-from conftest import FIXTURES
+from conftest import FIXTURES, chat_payload
 
 VG = str(FIXTURES / "videogame_20.nt")
 
@@ -297,6 +297,54 @@ class TestGenerate:
         cfg = load_json(cfg_path, RunConfig)
         assert [t.id for t in cfg.resolved_templates()] == ["P1", "P9"]
 
+    def test_ontology_with_no_statement_left_is_an_error(self, tmp_path, capsys):
+        onto = tmp_path / "empty.nt"
+        onto.write_text("_:a <http://x.org/p> _:b .\n")
+        out = tmp_path / "out"
+        assert run(["--output-dir", out, "generate", onto]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {onto}: no statements to prompt "
+            "(parsed=1 excluded_blank=1 excluded_opaque=0 kept=0)\n"
+        )
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_request_failure_names_the_provider(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "providers": [{"provider_id": "p", "model_name": "m", "endpoint_url": "not a url"}],
+            "templates": ["P1"],
+        }))
+        out = tmp_path / "out"
+        assert run(["--config", cfg_path, "--output-dir", out, "generate", VG]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: \[ontology=videogame_20 template=P1 provider=p statement=\d+\] "
+            r"p: request failed: Invalid URL 'not a url'[^\n]*\n", err
+        ), err
+        assert not out.exists()
+
+    def test_mock_named_provider_with_an_endpoint_sends_http(self, tmp_path, http_server):
+        server = http_server(lambda path, body, headers: (200, chat_payload("1. Sent over HTTP?")))
+        onto = tmp_path / "one.nt"
+        onto.write_text("<http://e.org/g#A> <http://e.org/g#p> <http://e.org/g#B> .\n")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "providers": [{"provider_id": "mock", "model_name": "m", "endpoint_url": server.url}],
+            "templates": ["P1"],
+        }))
+        assert run(["--config", cfg_path, "--output-dir", tmp_path, "generate", onto]) == 0
+        assert server.request_count == 1
+        assert (tmp_path / "questions_P1_m.csv").read_text() == "Questions\nSent over HTTP?\n"
+
+    def test_no_ontology_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["--output-dir", tmp_path, "generate"])
+        assert info.value.code == 2
+        assert "error: generate needs ontology paths (argument or --config)" in (
+            capsys.readouterr().err
+        )
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfig:
     def test_every_field_loads(self, tmp_path):
@@ -390,6 +438,14 @@ class TestConfig:
         cfg_path.write_bytes(b"\xff{}")
         assert run(["--config", cfg_path, "extract", VG]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg_path}: 'utf-8' codec")
+
+    def test_deeply_nested_json_names_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["--config", cfg_path, "templates", "list"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_tau_keeps_request_timeout_from_config(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -746,6 +802,17 @@ class TestEvaluate:
         out = self._generate(tmp_path)
         assert run(["--output-dir", out, "evaluate"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_without_cells_is_error(self, tmp_path, capsys):
+        cells = tmp_path / "cells"
+        cells.mkdir()
+        (cells / "notes.csv").write_text("Questions\nWhat is A?\n")
+        design = tmp_path / "design.txt"
+        design.write_text("What is A?\n")
+        argv = ["--output-dir", tmp_path, "evaluate", "--design", design, "--candidates-dir", cells]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: no questions_*.csv under {cells}\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_sidecar_is_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1200,6 +1267,16 @@ class TestTemplatesCommand:
         extra.write_text("Ask about <statement>")
         assert run(["templates", "list", "--template-file", extra]) == 0
         assert "mine: Ask about <statement>" in capsys.readouterr().out
+
+    def test_list_with_template_file_from_config(self, tmp_path, capsys):
+        extra = tmp_path / "mine.txt"
+        extra.write_text("Ask about <statement>")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"templates": ["P2"], "template_file": str(extra)}))
+        assert run(["--config", cfg_path, "templates", "list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["P1", "P2", "P3", "mine"]
+        assert lines[-1] == "mine: Ask about <statement>"
 
 
 class TestOutputCollisions:

@@ -1,5 +1,6 @@
 import email.utils
 import os
+import re
 import stat
 import sys
 import threading
@@ -17,9 +18,11 @@ from cqretrofit.gateway import (
     AuthError,
     DispatchSlots,
     GenerationRecord,
+    GatewayError,
     MalformedResponseError,
     ProviderConfig,
     RateLimitError,
+    RequestTimeoutError,
     ResponseCache,
     atomic_write_text,
     complete,
@@ -154,6 +157,15 @@ class TestCache:
         assert response.from_cache is False and response.text
         assert complete(prompt, mock_provider(), cache).from_cache is True
 
+
+    def test_entry_nested_too_deep_is_a_miss(self, prompt, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        path = tmp_path / f"{digest}.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cache.get(digest) is None
+        assert f"discarding unreadable cache entry {path}" in caplog.text
+        assert complete(prompt, mock_provider(), cache).from_cache is False
 
     def test_miss_is_one_read_and_silent(self, prompt, tmp_path, caplog, monkeypatch):
         cache = ResponseCache(tmp_path)
@@ -353,6 +365,80 @@ class TestHttpProvider:
         assert response.from_cache is True
         assert server.request_count == 1
 
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(ValueError, match="max_retries must be >= 0"):
+            self._cfg("http://127.0.0.1:9/v1", max_retries=-1)
+
+    def _post_raising(self, monkeypatch, *outcomes):
+        """Patch ``requests.post`` to raise or return each of ``outcomes``
+        in turn, then the last one forever; returns the list of calls."""
+        calls = []
+
+        def post(*args, **kwargs):
+            outcome = outcomes[min(len(calls), len(outcomes) - 1)]
+            calls.append(args)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(gateway.requests, "post", post)
+        return calls
+
+    def test_timeouts_exhaust_retries(self, monkeypatch, prompt):
+        calls = self._post_raising(monkeypatch, requests.Timeout("slow"))
+        with pytest.raises(RequestTimeoutError, match="^fake: request timed out after 3 attempts$"):
+            complete(prompt, self._cfg("http://127.0.0.1:9/v1", max_retries=2))
+        assert len(calls) == 3
+
+    def test_connection_error_is_retried(self, monkeypatch, prompt):
+        calls = self._post_raising(
+            monkeypatch, requests.ConnectionError("reset"), _FakeResponse(200, chat_payload("q?"))
+        )
+        assert complete(prompt, self._cfg("http://127.0.0.1:9/v1")).text == "q?"
+        assert len(calls) == 2
+
+    def test_connection_errors_exhaust_retries(self, monkeypatch, prompt):
+        calls = self._post_raising(monkeypatch, requests.ConnectionError("reset"))
+        with pytest.raises(GatewayError, match="^fake: connection failed: reset$"):
+            complete(prompt, self._cfg("http://127.0.0.1:9/v1", max_retries=1))
+        assert len(calls) == 2
+
+    def test_non_retryable_status_is_sent_once(self, http_server, prompt):
+        server = http_server(lambda path, body, headers: (400, {"error": "bad request"}))
+        with pytest.raises(GatewayError, match="^fake: HTTP 400: ") as info:
+            complete(prompt, self._cfg(server.url))
+        assert type(info.value) is GatewayError
+        assert server.request_count == 1
+
+    @pytest.mark.parametrize("content", [5, None, ["q?"]])
+    def test_content_that_is_not_text_is_malformed(self, http_server, prompt, content):
+        server = http_server(lambda path, body, headers: (200, chat_payload(content)))
+        with pytest.raises(MalformedResponseError, match="message content is not text"):
+            complete(prompt, self._cfg(server.url))
+
+    @pytest.mark.parametrize(
+        "exc", [requests.TooManyRedirects("Exceeded 30 redirects."),
+                requests.exceptions.InvalidURL("bad URL")],
+    )
+    def test_other_request_failure_is_sent_once_and_named(self, monkeypatch, statements, exc):
+        calls = self._post_raising(monkeypatch, exc)
+        sset = filter_statements(statements[:1], "vg")  # one prompt: no second post races
+        with pytest.raises(GatewayError) as info:
+            generate_records(sset, ["P1"], [self._cfg("http://127.0.0.1:9/v1")], parallelism=1)
+        assert type(info.value) is GatewayError
+        assert re.fullmatch(
+            rf"\[ontology=vg template=P1 provider=fake statement=0\] "
+            rf"fake: request failed: {re.escape(str(exc))}", str(info.value)
+        )
+        assert len(calls) == 1
+
+    def test_mock_id_with_an_endpoint_sends_http(self, http_server, prompt):
+        server = http_server(lambda path, body, headers: (200, chat_payload("Sent?")))
+        cfg = ProviderConfig(gateway.MOCK_PROVIDER_ID, "m", endpoint_url=server.url)
+        assert not cfg.is_mock
+        assert complete(prompt, cfg).text == "Sent?"
+        assert server.request_count == 1
+
 
 class _FakeResponse:
     def __init__(self, status_code, payload=None, headers=None):
@@ -494,6 +580,47 @@ class TestExtractQuestions:
             assert q.endswith("?")
             assert "\n" not in q
             assert q == " ".join(q.split())
+
+
+# The reference for gateway._clean_line: enumeration markers are stripped
+# one at a time, with the whitespace around each, until none is left.
+_ONE_MARKER_RE = re.compile(r"^(?:\d+[.)]|[-*•])\s*")
+
+
+def _reference_clean_line(line):
+    text = line.strip()
+    while True:
+        stripped = _ONE_MARKER_RE.sub("", text, count=1)
+        if stripped == text:
+            break
+        text = stripped.strip()
+    for opener, closer in (('"', '"'), ("'", "'"), ("“", "”")):
+        if len(text) >= 2 and text.startswith(opener) and text.endswith(closer):
+            text = text[1:-1].strip()
+    text = " ".join(text.split())
+    idx = text.find("?")
+    return None if idx <= 0 else text[: idx + 1]
+
+
+# Digits (ASCII and not), marker punctuation, quotes, Unicode whitespace and
+# a few letters, so most drawn lines start with runs of markers.
+_MARKER_LINE = st.text(
+    st.sampled_from(list("0123456789٣.)-*•\"'“” \t\u00a0\u2003\u3000\x0bab?")), max_size=24
+)
+
+
+class TestCleanLine:
+    @given(st.one_of(_MARKER_LINE, st.text(max_size=40)))
+    def test_matches_the_reference(self, line):
+        assert gateway._clean_line(line) == _reference_clean_line(line)
+
+    @pytest.mark.parametrize(
+        "line,expected",
+        [("1. 2) - * • 3.What?", "What?"), ("12.3. x?", "x?"), ("1 2. x?", "1 2. x?"),
+         ("-\u3000-\u00a0\"Why?\"", "Why?"), ("1.", None), ("a1. b?", "a1. b?")],
+    )
+    def test_marker_runs(self, line, expected):
+        assert gateway._clean_line(line) == _reference_clean_line(line) == expected
 
 
 class TestGenerateRecords:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import oracle_parser
 
 from cqretrofit.ontology import (
+    FORMATS,
     EmptyLocalNameError,
     IngestCounts,
     OntologyError,
@@ -440,6 +441,51 @@ class TestParserMatchesOracle:
         _assert_same_outcome(doc, fmt)
         _assert_same_outcome(doc[: data.draw(st.integers(0, len(doc)))], fmt)
 
+    @pytest.mark.parametrize(
+        "fmt,text,expected",
+        [
+            pytest.param(
+                "ttl",
+                "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+                '<http://e.org/s> <http://e.org/p> "5"^^xsd:integer .\n',
+                None, id="prefixed-datatype",
+            ),
+            pytest.param(
+                "nt", '<http://e.org/s> <http://e.org/p> "5"^^xsd:integer .\n',
+                "expected datatype IRI after '^^'", id="ntriples-datatype-without-iri",
+            ),
+            pytest.param(
+                "ttl", "@prefix e: <http://e.org/> .\n", None,
+                id="input-ends-where-a-subject-would-start",
+            ),
+            pytest.param(
+                "ttl", "[] <http://e.org/p> <http://e.org/o> .\n",
+                "unsupported construct: anonymous blank node '[]'", id="anonymous-subject",
+            ),
+            pytest.param(
+                "ttl", "(<http://e.org/a>) <http://e.org/p> <http://e.org/o> .\n",
+                "unsupported construct: collection '()'", id="collection-subject",
+            ),
+            pytest.param(
+                "ttl",
+                "<http://e.org/s> <http://e.org/p> "
+                "<< <http://e.org/a> <http://e.org/b> <http://e.org/c> >> .\n",
+                "unsupported construct: quoted triple '<<'", id="quoted-triple-object",
+            ),
+            pytest.param(
+                "ttl", "BASE <http://e.org/>\n",
+                "unsupported construct: BASE directive", id="base-directive",
+            ),
+        ],
+    )
+    def test_constructs(self, fmt, text, expected):
+        outcome = _outcome(parse_ontology, text, fmt)
+        if expected is None:
+            assert isinstance(outcome, list)
+        else:
+            assert outcome[1].startswith(expected)
+        _assert_same_outcome(text, fmt)
+
     @pytest.mark.parametrize("name", ["videogame_20.nt", "vicinity_sample.nt", "vicinity_sample.ttl"])
     def test_fixtures(self, name):
         text = (FIXTURES / name).read_text(encoding="utf-8")
@@ -631,3 +677,17 @@ def test_format_for_path():
     assert format_for_path("x.TTL") == "turtle"
     with pytest.raises(ValueError):
         format_for_path("x.owl")
+
+
+def test_formats_table_drives_names_suffixes_and_errors():
+    doc = SUBCLASS_TRIPLE + "\n"
+    for name, (_, aliases) in FORMATS.items():
+        for given in (name, *aliases, name.upper()):
+            assert parse_ontology(doc, given) == parse_ontology(doc, name)
+        assert format_for_path(f"onto.{aliases[0].upper()}") == name
+    # Only a first alias is a file suffix, and only after a dot.
+    for path in ("onto.ntriples", "onto.n-triples", "onto.turtle", "nt", "onto.owl"):
+        with pytest.raises(ValueError, match=f"cannot infer format from '{path}'; pass --format"):
+            format_for_path(path)
+    with pytest.raises(ValueError, match="^unknown format 'xml'; use 'ntriples' or 'turtle'$"):
+        parse_ontology(doc, "xml")
