@@ -362,6 +362,8 @@ def run_generate(cfg: RunConfig, format_override: Optional[str] = None) -> list[
     together, so a question repeated in another cell is a duplicate."""
     templates = cfg.resolved_templates()
     cells = [(t, p) for t in templates for p in cfg.providers]
+    if not cells:
+        raise ValueError("generate needs at least one template and one provider")
     keys = [(t.id, p.provider_id, p.model_name) for t, p in cells]
     stems = [f"questions_{_safe_name(t.id)}_{_safe_name(p.model_name)}" for t, p in cells]
     _reject_shared_outputs(

@@ -2,11 +2,10 @@
 
 Providers are either real HTTP chat-completion endpoints (one user-role
 message per request, common JSON schema) or the built-in deterministic
-mock used for offline runs and tests. Responses are cached on disk,
-keyed by a digest of the model name, the rendered prompt and the request
-parameters that change the response (the mock's seed; an HTTP request's
-``max_tokens`` and ``temperature``), so a warm-cache run performs zero
-network calls.
+mock used for offline runs and tests. Each prompt becomes one request
+record (for HTTP the endpoint and the posted body; for the mock every
+input it reads), which the provider call reads and whose digest keys the
+on-disk response cache, so a warm-cache run performs zero network calls.
 """
 from __future__ import annotations
 
@@ -139,18 +138,27 @@ class RawResponse:
     truncated: bool = False
 
 
-def prompt_digest(model_name: str, rendered_prompt: str, salt: str = "") -> str:
-    """Cache key: SHA-256 over the model name and the exact prompt text.
+def _request(prompt: PromptInstance, cfg: ProviderConfig, mock_seed: int) -> dict:
+    """Everything that decides the response to ``prompt``: for HTTP the
+    endpoint and the body posted to it (the credential stays out), for
+    the mock the inputs ``_mock_complete`` reads."""
+    if cfg.is_mock:
+        return {"model": cfg.model_name, "seed": mock_seed, "statement": prompt.statement_ordinal,
+                "template": prompt.template_id, "labels": prompt.labels}
+    body: dict = {
+        "model": cfg.model_name,
+        "messages": [{"role": "user", "content": prompt.rendered}],
+        "max_tokens": cfg.max_tokens,
+    }
+    if cfg.temperature is not None:
+        body["temperature"] = cfg.temperature
+    return {"endpoint": cfg.endpoint_url, "body": body}
 
-    ``salt`` folds request parameters that change the response for the
-    same prompt (the mock's seed, or an HTTP request's ``max_tokens`` and
-    ``temperature``) into the key.
-    """
-    h = hashlib.sha256()
-    for part in (model_name, rendered_prompt, salt):
-        h.update(part.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
+
+def prompt_digest(request: dict) -> str:
+    """Cache key: SHA-256 of the request record as sorted-key JSON (pure
+    ASCII), so every field of the request is part of the key."""
+    return hashlib.sha256(json.dumps(request, sort_keys=True).encode("ascii")).hexdigest()
 
 
 def _current_umask() -> int:
@@ -229,26 +237,18 @@ _MOCK_FRAMES = (
 )
 
 
-_BRACKETED_STATEMENT_RE = re.compile(r"\['(.*?)', '(.*?)', '(.*?)'\]")
-
-
-def _mock_complete(prompt: PromptInstance, seed: int) -> str:
+def _mock_complete(request: dict) -> str:
     """Deterministic offline stand-in for a provider response: a
-    numbered list of 2-5 questions over the prompt's statement labels,
+    numbered list of 2-5 questions over the request's statement labels,
     chosen by a PRNG seeded from (seed, statement ordinal, template id)."""
-    match = _BRACKETED_STATEMENT_RE.search(prompt.rendered)
-    if not match:
-        raise MalformedResponseError(
-            "mock provider could not find a bracketed statement in the prompt"
-        )
-    s, p, o = match.groups()
-    rng = random.Random(f"{seed}:{prompt.statement_ordinal}:{prompt.template_id}")
+    s, p, o = request["labels"]
+    rng = random.Random(f"{request['seed']}:{request['statement']}:{request['template']}")
     count = rng.randint(2, 5)
     frames = rng.sample(_MOCK_FRAMES, count)
     lines = []
     for i, frame in enumerate(frames, start=1):
         question = frame.format(s=s, p=p, o=o)
-        lines.append(f"{i}. {question}")
+        lines.append(f"{i}. {' '.join(question.split())}")  # one line, even for a multi-line label
     return "\n".join(lines)
 
 
@@ -263,10 +263,10 @@ def complete(
     """Resolve one prompt against a provider, cache-first.
 
     A cache hit returns immediately with ``from_cache=True`` and no
-    network call. Transient failures (429, 5xx, timeouts, connection
-    resets) are retried up to ``cfg.max_retries`` times with exponential
-    backoff. A 429 or 503 that carries a valid ``Retry-After`` (seconds
-    or an HTTP-date) waits that long instead, at most ``_BACKOFF_CAP_S``.
+    network call. Transient failures (429, 500, 502, 503, 504, timeouts,
+    connection resets) are retried up to ``cfg.max_retries`` times with
+    exponential backoff. A 429 or 503 that carries a valid ``Retry-After``
+    (seconds or an HTTP-date) waits that long instead, at most ``_BACKOFF_CAP_S``.
     Each HTTP attempt holds one of ``slots`` (without it, a set of one of
     its own) for the request alone; the backoff before a retry holds none,
     and ends early when ``slots.failed`` is set, giving the prompt up unsent.
@@ -279,19 +279,16 @@ def complete(
             chat-completion JSON.
         GatewayError: Any other non-retryable HTTP failure.
     """
-    if cfg.is_mock:
-        salt = f"seed={mock_seed}"
-    else:
-        salt = f"max_tokens={cfg.max_tokens} temperature={cfg.temperature}"
-    digest = prompt_digest(cfg.model_name, prompt.rendered, salt)
+    request = _request(prompt, cfg, mock_seed)
+    digest = prompt_digest(request)
     hit = cache.get(digest) if cache is not None else None
     latency_ms = None
     if hit is not None:
         text, truncated = hit["text"], bool(hit.get("truncated", False))
     elif cfg.is_mock:
-        text, truncated = _mock_complete(prompt, mock_seed), False
+        text, truncated = _mock_complete(request), False
     else:
-        text, truncated, latency_ms = _http_complete(prompt, cfg, slots or DispatchSlots(1))
+        text, truncated, latency_ms = _http_complete(request, cfg, slots or DispatchSlots(1))
     if cache is not None and hit is None:
         cache.put(digest, {"model": cfg.model_name, "text": text, "truncated": truncated})
     return RawResponse(
@@ -306,7 +303,7 @@ def complete(
 
 
 def _http_complete(
-    prompt: PromptInstance,
+    request: dict,
     cfg: ProviderConfig,
     slots: DispatchSlots,
 ) -> tuple[str, bool, int]:
@@ -314,14 +311,6 @@ def _http_complete(
     key = os.environ.get(cfg.api_key_env_var())
     if key:
         headers["Authorization"] = f"Bearer {key}"
-    payload: dict = {
-        "model": cfg.model_name,
-        "messages": [{"role": "user", "content": prompt.rendered}],
-        "max_tokens": cfg.max_tokens,
-    }
-    if cfg.temperature is not None:
-        payload["temperature"] = cfg.temperature
-
     started = time.monotonic()
     failure: Optional[GatewayError] = None  # what the last attempt raises
     retry_after: Optional[float] = None
@@ -343,8 +332,8 @@ def _http_complete(
         try:
             with slots:
                 resp = requests.post(
-                    cfg.endpoint_url,
-                    json=payload,
+                    request["endpoint"],
+                    json=request["body"],
                     headers=headers,
                     timeout=cfg.request_timeout_s,
                 )

@@ -135,9 +135,6 @@ class StatementSet:
     source_id: str
     counts: IngestCounts
 
-    def __len__(self) -> int:
-        return len(self.statements)
-
 
 def derive_label(iri: str) -> str:
     """Readable local name of an absolute HTTP(S) IRI.
@@ -404,8 +401,6 @@ def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
 # The readers below return a term as a ``(kind, lexical)`` tuple, the key
 # under which ``parse_ontology`` builds each distinct Term once.
 def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> tuple:
-    if sc.at_end():
-        raise sc.error("expected subject, found end of input")
     ch = sc.peek()
     if ch == "[":
         raise sc.unsupported("anonymous blank node '[]'")
@@ -618,19 +613,8 @@ def parse_ontology(source_text: str, format: str) -> list[Statement]:
     ]
 
 
-_NT_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-
-
-def _escape_literal(lexical: str) -> str:
-    return "".join(_NT_ESCAPES.get(ch, ch) for ch in lexical)
+# A literal is written with the reader's escapes, less \' (no "..." literal needs it).
+_NT_ESCAPES = str.maketrans({c: "\\" + e for e, c in _STRING_ESCAPES.items() if e != "'"})
 
 
 # Characters that may not appear raw in an IRIREF: written as \uXXXX.
@@ -642,7 +626,7 @@ def _term_to_ntriples(term: Term) -> str:
         return "<" + _IRI_UNSAFE.sub(lambda m: f"\\u{ord(m.group()):04X}", term.lexical) + ">"
     if term.kind is TermKind.BLANK:
         return f"_:{term.lexical}"
-    return f'"{_escape_literal(term.lexical)}"'
+    return f'"{term.lexical.translate(_NT_ESCAPES)}"'
 
 
 def to_ntriples(statements: Iterable[Statement]) -> str:

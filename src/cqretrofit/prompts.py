@@ -17,6 +17,7 @@ from typing import Union
 from .ontology import Statement
 
 STATEMENT_SLOT = "<statement>"
+_BRACKETED = "['{}', '{}', '{}']"  # the statement rendering that fills the slot
 
 
 class PromptError(Exception):
@@ -102,18 +103,21 @@ class PromptInstance:
     template_id: str
     statement_ordinal: int
     rendered: str
+    labels: tuple[str, str, str]
+
+
+def _labels(statement: Statement) -> tuple[str, str, str]:
+    labels = (statement.subject.readable(), statement.predicate.readable(),
+              statement.object.readable())
+    if None in labels:
+        raise MissingLabelError(statement)
+    return labels
 
 
 def render_statement(statement: Statement) -> str:
     """Bracketed label-list rendering, e.g. ``['Hippocamp', 'type',
     'Solar_System_Satellite']``. Literal objects use their lexical form."""
-    labels = []
-    for term in (statement.subject, statement.predicate, statement.object):
-        label = term.readable()
-        if label is None:
-            raise MissingLabelError(statement)
-        labels.append(label)
-    return "['{}', '{}', '{}']".format(*labels)
+    return _BRACKETED.format(*_labels(statement))
 
 
 def render_prompt(
@@ -126,10 +130,11 @@ def render_prompt(
     """
     if isinstance(template, str):
         template = get_template(template)
-    rendered_statement = render_statement(statement)
+    labels = _labels(statement)
+    rendered_statement = _BRACKETED.format(*labels)
     rendered = (
         template.body.replace(STATEMENT_SLOT, rendered_statement)
         + " "
         + rendered_statement
     )
-    return PromptInstance(template.id, statement.ordinal, rendered)
+    return PromptInstance(template.id, statement.ordinal, rendered, labels)

@@ -289,6 +289,47 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", [{"templates": []}, {"providers": []}])
+    def test_empty_grid_is_an_error(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["--config", cfg_path, "--output-dir", out, "generate", VG]) == 1
+        assert capsys.readouterr().err == (
+            "error: generate needs at least one template and one provider\n"
+        )
+        assert not out.exists()
+
+    def test_multi_line_label_asks_what_its_one_line_form_asks(self, tmp_path):
+        csvs = []
+        for name, literal in (("multi", "line one\\nline two"), ("single", "line one line two")):
+            onto = tmp_path / name / "onto.nt"
+            onto.parent.mkdir()
+            onto.write_text(f'<http://x.org/a> <http://x.org/says> "{literal}" .\n')
+            out = tmp_path / name / "out"
+            assert run(["--output-dir", out, "--seed", 3, "generate", onto]) == 0
+            csvs.append({p.name: p.read_text() for p in out.glob("*.csv")})
+        assert len(csvs[0]) == 3
+        assert csvs[0] == csvs[1]
+
+    def test_cache_does_not_change_the_output(self, tmp_path):
+        # Twin statements render one prompt; the mock still answers each
+        # by its own ordinal, with or without a cache.
+        onto = tmp_path / "twins.nt"
+        onto.write_text("".join(
+            f"<http://{host}.org/Cat> <http://{host}.org/eats> <http://{host}.org/Fish> .\n"
+            for host in "ab"
+        ))
+        outputs = []
+        for flags in ([], ["--cache-dir", tmp_path / "cache"]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert run(["--output-dir", out, *flags, "generate", onto]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]
+        sidecar = json.loads(outputs[1]["questions_P1_mock-small.json"])
+        assert sidecar["cache_hits"] == 0
+
     def test_template_file_from_config(self, tmp_path):
         extra = tmp_path / "P9.txt"
         extra.write_text("List questions for <statement>\n")

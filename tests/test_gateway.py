@@ -131,14 +131,26 @@ class TestCache:
         assert b.from_cache is False
         assert a.text != b.text or a.prompt_digest != b.prompt_digest
 
-    def test_digest_depends_on_model_and_prompt(self):
-        assert prompt_digest("m1", "p") != prompt_digest("m2", "p")
-        assert prompt_digest("m", "p1") != prompt_digest("m", "p2")
-        assert prompt_digest("m", "p") == prompt_digest("m", "p")
+    def test_digest_depends_on_model_and_prompt(self, prompt):
+        # The digest moves with every field of the request record.
+        http_cfg = ProviderConfig("x", "m", endpoint_url="http://a.org/v1", temperature=0.2)
+        mock, http = (gateway._request(prompt, cfg, 0) for cfg in (mock_provider(), http_cfg))
+        mock_changes = {"model": "m2", "seed": 1, "statement": 9, "template": "P2",
+                        "labels": ("a", "b", "c")}
+        body_changes = {"model": "m2", "messages": [{"role": "user", "content": "p2"}],
+                        "max_tokens": 1, "temperature": 0.7}
+        assert set(mock_changes) == set(mock) and set(body_changes) == set(http["body"])
+        variants = [mock, http, {**http, "endpoint": "http://b.org/v1"}]
+        variants += [{**mock, key: value} for key, value in mock_changes.items()]
+        variants += [{**http, "body": {**http["body"], key: value}}
+                     for key, value in body_changes.items()]
+        digests = [prompt_digest(request) for request in variants]
+        assert len(set(digests)) == len(variants)
+        assert prompt_digest(dict(reversed(mock.items()))) == digests[0]
 
     def test_corrupt_entry_is_ignored(self, prompt, tmp_path):
         cache = ResponseCache(tmp_path)
-        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        digest = complete(prompt, mock_provider()).prompt_digest
         (tmp_path / f"{digest}.json").write_text("{not json")
         response = complete(prompt, mock_provider(), cache)
         assert response.from_cache is False
@@ -148,7 +160,7 @@ class TestCache:
     )
     def test_entry_without_string_text_is_a_miss(self, prompt, tmp_path, caplog, text):
         cache = ResponseCache(tmp_path)
-        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        digest = complete(prompt, mock_provider()).prompt_digest
         path = tmp_path / f"{digest}.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert cache.get(digest) is None
@@ -160,7 +172,7 @@ class TestCache:
 
     def test_entry_nested_too_deep_is_a_miss(self, prompt, tmp_path, caplog):
         cache = ResponseCache(tmp_path)
-        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        digest = complete(prompt, mock_provider()).prompt_digest
         path = tmp_path / f"{digest}.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         assert cache.get(digest) is None
@@ -169,7 +181,7 @@ class TestCache:
 
     def test_miss_is_one_read_and_silent(self, prompt, tmp_path, caplog, monkeypatch):
         cache = ResponseCache(tmp_path)
-        digest = prompt_digest("mock-small", prompt.rendered, "seed=0")
+        digest = complete(prompt, mock_provider()).prompt_digest
         exists_calls = []
         real_exists = gateway.Path.exists
         monkeypatch.setattr(gateway.Path, "exists",
@@ -223,6 +235,14 @@ class TestAtomicWrite:
         assert torn == []
         assert path.read_text(encoding="utf-8") in texts
         assert [p.name for p in path.parent.iterdir()] == ["entry.json"]
+
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "entry.json"
+        path.write_text("old", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\ud800")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
     def test_file_mode_follows_umask(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -315,6 +335,16 @@ class TestHttpProvider:
             assert complete(prompt, self._cfg(server.url, **changed), cache).from_cache is False
         assert complete(prompt, self._cfg(server.url, temperature=0.2), cache).from_cache is True
         assert server.request_count == 3
+
+    def test_endpoint_is_part_of_the_cache_key(self, http_server, prompt, tmp_path):
+        # Two providers of one model on different endpoints, one cache.
+        a = http_server(lambda path, body, headers: (200, chat_payload("From A?")))
+        b = http_server(lambda path, body, headers: (200, chat_payload("From B?")))
+        cache = ResponseCache(tmp_path)
+        assert complete(prompt, self._cfg(a.url), cache).text == "From A?"
+        response = complete(prompt, self._cfg(b.url), cache)
+        assert (response.text, response.from_cache) == ("From B?", False)
+        assert (a.request_count, b.request_count) == (1, 1)
 
     def test_no_key_sends_no_authorization(self, http_server, prompt, monkeypatch):
         monkeypatch.delenv("RETROFIT_API_KEY_FAKE", raising=False)

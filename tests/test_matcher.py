@@ -403,6 +403,11 @@ class TestMatchCandidates:
         with pytest.raises(ValueError, match="design matrix shape"):
             match_candidates(candidates, DESIGN, cfg, matrix[:2])
 
+    def test_design_matrix_of_another_width(self):
+        matrix = embed_questions(DESIGN.questions, MatcherConfig(dimension=64))
+        with pytest.raises(DimensionMismatchError, match="candidate dimension 512 != design "):
+            match_candidates(["What rewards exist?"], DESIGN, MatcherConfig(), matrix)
+
     def test_reproducible(self):
         candidates = list(DESIGN.questions) + ["Another question about planets?"]
         a = match_candidates(candidates, DESIGN, MatcherConfig())

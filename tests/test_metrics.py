@@ -23,6 +23,7 @@ from cqretrofit.metrics import (
     load_validation_labels,
     mean_questions_per_triple,
     metrics_from_counts,
+    percentile_linear,
     precision_from_labels,
     round_half_up,
     unmatched_stats,
@@ -156,6 +157,14 @@ class TestUnmatchedStats:
         assert row.n_unmatched == 0
         assert row.mean is row.std is row.min is row.max is None
 
+    def test_no_design_cqs_rejected(self):
+        with pytest.raises(ValueError, match="n_design must be positive"):
+            unmatched_stats([3], n_design=0)
+
+    def test_percentile_of_nothing_rejected(self):
+        with pytest.raises(ValueError, match="empty input"):
+            percentile_linear([], 0.5)
+
     def test_constant_multiset_std_zero(self):
         row = unmatched_stats([4, 4, 4], 57)
         assert row.std == 0.0
@@ -209,6 +218,9 @@ class TestPrecisionFromLabels:
         assert precision_from_labels(candidates, labels) == pytest.approx(
             0.7612, abs=2e-4
         )
+
+    def test_no_candidates_is_zero(self):
+        assert precision_from_labels([], _labels([("What is X?", "valid")])) == 0.0
 
     def test_zero_valid(self):
         candidates = self._candidates(5)

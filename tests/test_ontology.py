@@ -476,6 +476,10 @@ class TestParserMatchesOracle:
                 "ttl", "BASE <http://e.org/>\n",
                 "unsupported construct: BASE directive", id="base-directive",
             ),
+            pytest.param(
+                "ttl", "{ <http://e.org/s> <http://e.org/p> <http://e.org/o> . }\n",
+                "unsupported construct: graph block '{'", id="graph-block",
+            ),
         ],
     )
     def test_constructs(self, fmt, text, expected):
@@ -661,6 +665,12 @@ class TestRoundTrip:
         doc = f"<http://a/{_escaped(local)}> <http://a/p> \"{_escaped(literal)}\" .\n"
         first = parse_ontology(doc, "ntriples")
         assert (first[0].subject.lexical, first[0].object.lexical) == ("http://a/" + local, literal)
+        assert parse_ontology(to_ntriples(first), "ntriples") == first
+
+    def test_blank_node_round_trips(self):
+        doc = "_:b0 <http://ex.org/p> _:b1 .\n"
+        first = parse_ontology(doc, "ntriples")
+        assert to_ntriples(first) == doc
         assert parse_ontology(to_ntriples(first), "ntriples") == first
 
     def test_escapes_round_trip(self):
