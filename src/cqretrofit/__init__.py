@@ -59,6 +59,7 @@ from .ontology import (
     derive_label,
     filter_statements,
     is_opaque_label,
+    load_statement_set,
     parse_ontology,
     to_ntriples,
 )

@@ -9,6 +9,7 @@ per line, '#' comments) replaces either default table below.
 from __future__ import annotations
 
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -111,15 +112,24 @@ class FiltrationConfig:
         if not 0 <= self.dedup_ratio_threshold <= 100:
             raise ValueError("dedup_ratio_threshold must be in [0, 100]")
         self.strictness = Strictness(self.strictness)
-        primitive = [re.compile(p) for p in self.primitive_patterns]
+        primitive = list(self.primitive_patterns)
         if self.strictness is Strictness.STRICT:
-            primitive += [
-                re.compile(rf"\b{kw}\b") for kw in _STRICT_PRIMITIVE_KEYWORDS
-            ]
-        self._primitive_res = tuple(primitive)
-        self._narrative_res = tuple(re.compile(p) for p in self.narrative_patterns)
+            primitive += [rf"\b{kw}\b" for kw in _STRICT_PRIMITIVE_KEYWORDS]
+        self._primitive_res = _compiled(primitive)
+        self._narrative_res = _compiled(self.narrative_patterns)
         if self.strictness is Strictness.OFF:  # after compiling: a bad pattern still fails
             self._primitive_res = self._narrative_res = ()
+
+
+def _compiled(patterns: Iterable[str]) -> tuple[re.Pattern, ...]:
+    """``re.compile`` of each pattern; a warning that one gives (such as
+    ``Possible nested set``) is raised as :class:`re.error`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return tuple(map(re.compile, patterns))
+        except Warning as exc:
+            raise re.error(str(exc)) from None
 
 
 _DEFAULT_CONFIG = FiltrationConfig()
@@ -127,13 +137,14 @@ _DEFAULT_CONFIG = FiltrationConfig()
 
 def load_pattern_file(path: Union[str, Path]) -> tuple[str, ...]:
     """Read one regex per line; blank lines and '#' comments skipped.
-    A line that does not compile raises :class:`re.error`."""
+    A line that does not compile, or compiles with a warning, raises
+    :class:`re.error`."""
     patterns = []
     for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            re.compile(stripped)
             patterns.append(stripped)
+    _compiled(patterns)
     return tuple(patterns)
 
 

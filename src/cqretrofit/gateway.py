@@ -155,10 +155,14 @@ def _request(prompt: PromptInstance, cfg: ProviderConfig, mock_seed: int) -> dic
     return {"endpoint": cfg.endpoint_url, "body": body}
 
 
+# ``json.dumps(..., sort_keys=True)`` builds a new encoder on every call.
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
 def prompt_digest(request: dict) -> str:
     """Cache key: SHA-256 of the request record as sorted-key JSON (pure
     ASCII), so every field of the request is part of the key."""
-    return hashlib.sha256(json.dumps(request, sort_keys=True).encode("ascii")).hexdigest()
+    return hashlib.sha256(_SORTED_JSON(request).encode("ascii")).hexdigest()
 
 
 def _current_umask() -> int:

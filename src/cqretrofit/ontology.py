@@ -15,14 +15,20 @@ raises :class:`UnsupportedConstructError` naming the construct.
 Literal datatype and language tags are validated syntactically and then
 dropped: a term keeps only its lexical form.
 
-:data:`FORMATS` lists the formats :func:`parse_ontology` reads.
+A statement of the common shape (N-Triples), or a predicate-object pair
+(Turtle), is read with one anchored regular expression match; from the
+first position that match does not take, anchored per-token readers read
+on, and they alone decode escapes and raise errors. Each distinct term is
+built once per parse, and decides then whether it is opaque.
+
+:data:`FORMATS` lists the formats :func:`parse_ontology` and
+:func:`load_statement_set` read.
 """
 from __future__ import annotations
 
-import functools
 import re
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -71,11 +77,18 @@ class Term:
     ``lexical`` holds the full IRI text, the literal's lexical form, or
     the blank-node id (without the ``_:`` sigil). ``label`` is the
     derived readable local name and is only ever set for IRI terms.
+    ``opaque`` is decided when the term is built: an IRI with no
+    derivable label or an opaque one (:func:`is_opaque_label`).
     """
 
     kind: TermKind
     lexical: str
     label: Optional[str] = None
+    opaque: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "opaque", self.kind is TermKind.IRI and (
+            self.label is None or is_opaque_label(self.label)))
 
     @staticmethod
     def iri(lexical: str) -> "Term":
@@ -101,12 +114,6 @@ class Term:
         if self.kind is TermKind.LITERAL:
             return self.lexical
         return self.label
-
-    @functools.cached_property
-    def opaque(self) -> bool:
-        """An IRI with no derivable label or an opaque one; decided on
-        first use and kept (the frozen dataclass has no slots)."""
-        return self.kind is TermKind.IRI and (self.label is None or is_opaque_label(self.label))
 
 
 @dataclass(frozen=True)
@@ -159,9 +166,10 @@ def derive_label(iri: str) -> str:
     return urllib.parse.unquote(segments[-1])
 
 
-_LETTER_DIGITS_RE = re.compile(r"^[A-Za-z][0-9]+$")
-_UUID_RE = re.compile(
-    r"^[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}$"
+# A single letter plus digits, or a UUID.
+_OPAQUE_RE = re.compile(
+    r"^[A-Za-z][0-9]+$"
+    r"|^[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}$"
 )
 
 
@@ -169,11 +177,7 @@ def is_opaque_label(label: str) -> bool:
     """True for local names with no human-readable meaning: a single
     letter plus digits (Wikidata-style Q-items), digit/punctuation-only
     tokens, or UUID-shaped tokens."""
-    if _LETTER_DIGITS_RE.match(label):
-        return True
-    if not any(ch.isalpha() for ch in label):
-        return True
-    return bool(_UUID_RE.match(label))
+    return bool(_OPAQUE_RE.match(label)) or not any(map(str.isalpha, label))
 
 
 def filter_statements(raw: Iterable[Statement], source_id: str = "") -> StatementSet:
@@ -185,18 +189,24 @@ def filter_statements(raw: Iterable[Statement], source_id: str = "") -> Statemen
     or an opaque one. Idempotent: re-filtering a kept set changes
     nothing.
     """
+    return _filtered(((st.subject, st.predicate, st.object) for st in raw), source_id)
+
+
+def _filtered(triples: Iterable[tuple[Term, Term, Term]], source_id: str) -> StatementSet:
+    """The :func:`filter_statements` loop over ``(subject, predicate,
+    object)`` triples: a :class:`Statement` is built for each kept one."""
     kept: list[Statement] = []
-    parsed = 0
     excluded_blank = 0
     excluded_opaque = 0
-    for st in raw:
-        parsed += 1
-        if st.subject.kind is TermKind.BLANK or st.object.kind is TermKind.BLANK:
+    blank = TermKind.BLANK
+    for s, p, o in triples:
+        if s.kind is blank or o.kind is blank:
             excluded_blank += 1
-        elif st.subject.opaque or st.predicate.opaque or st.object.opaque:
+        elif s.opaque or p.opaque or o.opaque:
             excluded_opaque += 1
         else:
-            kept.append(Statement(st.subject, st.predicate, st.object, len(kept)))
+            kept.append(Statement(s, p, o, len(kept)))
+    parsed = excluded_blank + excluded_opaque + len(kept)
     counts = IngestCounts(parsed, excluded_blank, excluded_opaque, len(kept))
     return StatementSet(tuple(kept), source_id, counts)
 
@@ -205,16 +215,52 @@ def filter_statements(raw: Iterable[Statement], source_id: str = "") -> Statemen
 # does not match (it holds an escape, or it is malformed) is read again
 # one character at a time, which decodes the escape or raises the error
 # at the offending character.
-_TRIVIA = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_IRIREF = re.compile(r'<([^\n\r "{}|^`<>\\]*)>')
+_TRIVIA_RE = r"(?:[ \t\r\n]+|#[^\n]*)*"
+_TRIVIA = re.compile(_TRIVIA_RE)
+_IRI_CHARS = r'[^\n\r "{}|^`<>\\]*'
+_IRIREF_RE = f"<({_IRI_CHARS})>"
+_IRIREF = re.compile(_IRIREF_RE)
+_STRING_RE = r'"(?!"")([^"\\\n\r]*)"'
 _STRING = {
-    '"': re.compile(r'"(?!"")([^"\\\n\r]*)"'),
+    '"': re.compile(_STRING_RE),
     "'": re.compile(r"'(?!'')([^'\\\n\r]*)'"),
 }
-_BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_\-]+)")
+_BLANK_LABEL_RE = r"_:([A-Za-z0-9_\-]+)"
+_BLANK_LABEL = re.compile(_BLANK_LABEL_RE)
 _LANGTAG = re.compile(r"@((?:[^\W_]|-)*)")  # [^\W_] is exactly str.isalnum
 _PNAME = re.compile(r"([A-Za-z0-9_\-]*)(?::([A-Za-z0-9_\-%]*(?:\.[A-Za-z0-9_\-%]+)*))?")
 _BOOLEAN = re.compile(r"(?:true|false)(?![A-Za-z0-9_\-:])")
+
+# Whole-statement (N-Triples) and whole-pair (Turtle) patterns for the
+# common shapes: terms without escapes, and literals that are plain,
+# typed by an IRIREF or tagged with an ASCII language tag. Each takes only
+# what the token readers would read alike, and ends where they would end
+# (after the trivia that follows); where one does not match, the token
+# readers read on from there.
+_LITERAL_RE = _STRING_RE + rf"(?:\^\^<{_IRI_CHARS}>|@[A-Za-z][A-Za-z0-9-]*)?"
+_NT_STATEMENT = re.compile(
+    rf"(?:{_IRIREF_RE}|{_BLANK_LABEL_RE})[ \t]*{_IRIREF_RE}[ \t]*"
+    rf"(?:{_IRIREF_RE}|{_BLANK_LABEL_RE}|{_LITERAL_RE})[ \t]*\.{_TRIVIA_RE}"
+)
+# Trivia that a failed match cannot give back in part: a comment runs to
+# the end of its line.
+_TTL_TRIVIA_RE = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+# A local name that a failed match cannot shorten.
+_PN_LOCAL_RE = r"([A-Za-z0-9_\-%]*(?:\.[A-Za-z0-9_\-%]+)*)(?![A-Za-z0-9_\-%]|\.[A-Za-z0-9_\-%])"
+# An object and the trivia after it, then ',' or a run of ';', each with
+# the trivia after it. Nothing after a literal may continue it: not a tag
+# that ``_LANGTAG`` would read on into a non-ASCII letter, nor a suffix
+# left unmatched.
+_TTL_OBJECT_RE = (
+    rf"(?:{_IRIREF_RE}|{_BLANK_LABEL_RE}|{_LITERAL_RE}(?![@^\w-])"
+    rf"|([A-Za-z][A-Za-z0-9_\-]*|):{_PN_LOCAL_RE}){_TTL_TRIVIA_RE}"
+    rf"(?:(,){_TTL_TRIVIA_RE}|(;){_TTL_TRIVIA_RE}(?:;{_TTL_TRIVIA_RE})*)?"
+)
+_TTL_PAIR = re.compile(
+    rf"(?:a(?![A-Za-z0-9_\-:])|{_IRIREF_RE}|([A-Za-z_][A-Za-z0-9_\-]*|):{_PN_LOCAL_RE})"
+    rf"{_TTL_TRIVIA_RE}{_TTL_OBJECT_RE}"
+)
+_TTL_NEXT_OBJECT = re.compile(_TTL_OBJECT_RE)
 
 
 class _Scanner:
@@ -399,7 +445,7 @@ def _read_prefixed_name(sc: _Scanner, prefixes: dict) -> str:
 
 
 # The readers below return a term as a ``(kind, lexical)`` tuple, the key
-# under which ``parse_ontology`` builds each distinct Term once.
+# under which ``_term_triples`` builds each distinct Term once.
 def _read_turtle_subject(sc: _Scanner, prefixes: dict) -> tuple:
     ch = sc.peek()
     if ch == "[":
@@ -512,35 +558,91 @@ def _parse_turtle(text: str) -> list[tuple]:
 
 def _parse_turtle_statement(sc: _Scanner, prefixes: dict, triples: list[tuple]) -> None:
     subject = _read_turtle_subject(sc, prefixes)
+    sc.skip_trivia()
+    verb = None  # the verb of the next object; None where a verb comes next
     while True:
-        sc.skip_trivia()
-        verb = _read_turtle_verb(sc, prefixes)
-        while True:
-            sc.skip_trivia()
-            obj = _read_turtle_object(sc, prefixes)
+        fast = _match_pair(sc, verb, prefixes)
+        if fast:
+            verb, obj, comma, semicolon = fast
             triples.append((subject, verb, obj))
+            if comma:
+                continue
+            another_verb = semicolon is not None
+        elif verb is None:
+            verb = _read_turtle_verb(sc, prefixes)
             sc.skip_trivia()
-            if sc.peek() != ",":
-                break
-            sc.advance()
-        another_verb = sc.peek() == ";"
-        while sc.peek() == ";":
-            sc.advance()
+            continue
+        else:
+            triples.append((subject, verb, _read_turtle_object(sc, prefixes)))
             sc.skip_trivia()
+            if sc.peek() == ",":
+                sc.advance()
+                sc.skip_trivia()
+                continue
+            another_verb = sc.peek() == ";"
+            while sc.peek() == ";":
+                sc.advance()
+                sc.skip_trivia()
         if sc.peek() == ".":
             sc.advance()
             return
         if not another_verb:
             raise sc.error(f"expected ',', ';' or '.', found {sc.peek()!r}")
+        verb = None
+
+
+def _match_pair(sc: _Scanner, verb: Optional[tuple], prefixes: dict) -> Optional[tuple]:
+    """Read a verb and its object (``verb`` None), or one more object of
+    ``verb``, with one match that also takes a ',' or a run of ';' after
+    the object, and the trivia around them. Returns the verb, the object,
+    and the ',' and the first ';' (each None when absent); or None, without
+    moving, when the pattern does not match or a prefix is undeclared."""
+    m = (_TTL_PAIR if verb is None else _TTL_NEXT_OBJECT).match(sc.text, sc.pos)
+    if m is None:
+        return None
+    groups = m.groups()
+    if verb is None:
+        iri, prefix, local = groups[:3]
+        if iri is not None:
+            verb = ("iri", iri)
+        elif prefix is None:
+            verb = ("iri", RDF_TYPE_IRI)
+        elif prefix in prefixes:
+            verb = ("iri", prefixes[prefix] + local)
+        else:
+            return None
+    iri, blank, lexical, prefix, local, comma, semicolon = groups[-7:]
+    if iri is not None:
+        obj = ("iri", iri)
+    elif blank is not None:
+        obj = ("blank", blank)
+    elif lexical is not None:
+        obj = ("literal", lexical)
+    elif prefix in prefixes:
+        obj = ("iri", prefixes[prefix] + local)
+    else:
+        return None
+    sc.pos = m.end()
+    return verb, obj, comma, semicolon
 
 
 def _parse_ntriples(text: str) -> list[tuple]:
     sc = _Scanner(text)
     triples: list[tuple] = []
-    while True:
-        sc.skip_trivia()
-        if sc.at_end():
-            return triples
+    sc.skip_trivia()
+    while not sc.at_end():
+        m = _NT_STATEMENT.match(text, sc.pos)
+        if m:
+            s, s_blank, p, o, o_blank, o_lexical = m.groups()
+            if o is not None:
+                obj = ("iri", o)
+            elif o_blank is not None:
+                obj = ("blank", o_blank)
+            else:
+                obj = ("literal", o_lexical)
+            triples.append((("iri", s) if s is not None else ("blank", s_blank), ("iri", p), obj))
+            sc.pos = m.end()
+            continue
         ch = sc.peek()
         if ch == "<":
             subject = ("iri", _read_iriref(sc))
@@ -570,6 +672,8 @@ def _parse_ntriples(text: str) -> list[tuple]:
         sc.skip_trivia()
         sc.expect(".", "'.' ending the triple")
         triples.append((subject, predicate, obj))
+        sc.skip_trivia()
+    return triples
 
 
 _TERM_OF_KIND = {"iri": Term.iri, "literal": Term.literal, "blank": Term.blank}
@@ -602,15 +706,26 @@ def parse_ontology(source_text: str, format: str) -> list[Statement]:
         OntologySyntaxError: Malformed input, with line/column.
         UnsupportedConstructError: Turtle outside the supported subset.
     """
+    return [Statement(s, p, o, ordinal)
+            for ordinal, (s, p, o) in enumerate(_term_triples(source_text, format))]
+
+
+def load_statement_set(source_text: str, format: str, source_id: str = "") -> StatementSet:
+    """``filter_statements(parse_ontology(source_text, format), source_id)``,
+    without building a :class:`Statement` for a triple that is dropped.
+    Raises as :func:`parse_ontology` does."""
+    return _filtered(_term_triples(source_text, format), source_id)
+
+
+def _term_triples(source_text: str, format: str) -> list[tuple[Term, Term, Term]]:
+    """The distinct triples of a document in document order, with one
+    :class:`Term` for each distinct term."""
     read = next((reader for name, (reader, aliases) in FORMATS.items()
                  if format.lower() in (name, *aliases)), None)
     if read is None:
         raise ValueError(f"unknown format {format!r}; use {' or '.join(map(repr, FORMATS))}")
     terms = _Terms()
-    return [
-        Statement(terms[s], terms[p], terms[o], ordinal)
-        for ordinal, (s, p, o) in enumerate(dict.fromkeys(read(source_text)))
-    ]
+    return [(terms[s], terms[p], terms[o]) for s, p, o in dict.fromkeys(read(source_text))]
 
 
 # A literal is written with the reader's escapes, less \' (no "..." literal needs it).

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,16 @@ class TestExtract:
         assert len(first) == len(second) == 7
         assert first[3] == first[6] == "tab\\there newline\\nend \\\\ cr\\r"
         assert second[1] == "A\\tB" and second[4] == "http://e.org/g#A\\tB"
+
+    def test_only_the_last_row_holds_a_tab(self, tmp_path):
+        onto = tmp_path / "last.nt"
+        plain = [f'<http://e.org/g#A{i}x> <http://e.org/g#p> "w{i}" .\n' for i in range(300)]
+        onto.write_text("".join(plain) + '<http://e.org/g#B> <http://e.org/g#p> "a\\tb" .\n')
+        assert run(["--output-dir", tmp_path, "extract", onto]) == 0
+        rows = (tmp_path / "statements.tsv").read_text().splitlines()
+        assert len(rows) == 301
+        assert rows[0] == "0\tA0x\tp\tw0\thttp://e.org/g#A0x\thttp://e.org/g#p\tw0"
+        assert rows[-1] == "300\tB\tp\ta\\tb\thttp://e.org/g#B\thttp://e.org/g#p\ta\\tb"
 
     @pytest.mark.parametrize(
         "text,message",
@@ -569,6 +580,19 @@ class TestPatternFiles:
         assert run(["--output-dir", "out", *command, flag, "bad.txt"]) == 1
         err = capsys.readouterr().err
         assert err == "error: bad.txt: missing ), unterminated subpattern at position 5\n"
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("command", [["generate", VG], ["filter", "input.csv"]])
+    @pytest.mark.parametrize("flag", ["--primitive-lexicon", "--narrative-patterns"])
+    def test_regex_warning_names_the_file(self, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        Path("input.csv").write_text("Questions\nWhat is A?\n")
+        Path("p1.txt").write_text("[[a]\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--output-dir", "out", *command, flag, "p1.txt"]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == "error: p1.txt: Possible nested set at position 1\n"
         assert not Path("out").exists()
 
     def test_strictness_off_ignores_the_files(self, tmp_path, capsys):

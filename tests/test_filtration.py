@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 from collections import Counter
 
 import pytest
@@ -92,6 +93,22 @@ class TestDefaultConfig:
             assert is_subjective_narrative(q) == is_subjective_narrative(q, cfg)
         records = records_for(GPT35_QUESTIONS)
         assert filter_questions(records) == filter_questions(records, cfg)
+
+
+class TestPatternCompileWarnings:
+    @pytest.mark.parametrize("field", ["primitive_patterns", "narrative_patterns"])
+    def test_config_raises_a_warning_as_an_error(self, field):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(re.error, match="^Possible nested set at position 1$"):
+                FiltrationConfig(**{field: ("what", "[[b]")})
+        assert caught == []
+
+    def test_pattern_file_raises_a_warning_as_an_error(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("what\n[[b]\n")
+        with pytest.raises(re.error, match="^Possible nested set at position 1$"):
+            filtration.load_pattern_file(path)
 
 
 class TestNormalizeQuestion:

@@ -1,4 +1,6 @@
 import email.utils
+import hashlib
+import json
 import os
 import re
 import stat
@@ -147,6 +149,15 @@ class TestCache:
         digests = [prompt_digest(request) for request in variants]
         assert len(set(digests)) == len(variants)
         assert prompt_digest(dict(reversed(mock.items()))) == digests[0]
+
+    def test_digest_is_sha256_of_sorted_json(self, prompt):
+        # The key of every existing cache entry: a change of encoder must
+        # not move it.
+        http_cfg = ProviderConfig("x", "m", endpoint_url="http://a.org/v1", temperature=0.2)
+        for cfg in (mock_provider(), http_cfg):
+            request = gateway._request(prompt, cfg, 3)
+            text = json.dumps(request, sort_keys=True)
+            assert prompt_digest(request) == hashlib.sha256(text.encode("ascii")).hexdigest()
 
     def test_corrupt_entry_is_ignored(self, prompt, tmp_path):
         cache = ResponseCache(tmp_path)

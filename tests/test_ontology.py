@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from cqretrofit.ontology import (
     filter_statements,
     format_for_path,
     is_opaque_label,
+    load_statement_set,
     parse_ontology,
     to_ntriples,
 )
@@ -79,6 +83,45 @@ class TestOpaqueLabel:
     )
     def test_heuristic(self, label, expected):
         assert is_opaque_label(label) is expected
+
+    @given(label=st.text() | st.from_regex(r"[A-Za-z][0-9]+\n?", fullmatch=True)
+           | st.from_regex(r"[0-9a-f]{8}-([0-9a-f]{4}-){3}[0-9a-f]{12}\n?", fullmatch=True)
+           | st.text(st.sampled_from("Qq07-_. \n\u00e9"), max_size=6))
+    def test_one_match_agrees_with_three_checks(self, label):
+        """The joined pattern decides as the separate letter-digits check,
+        alphabetic-character check and UUID check did, trailing newline
+        included (``$`` matches before one)."""
+        expected = bool(
+            re.match(r"^[A-Za-z][0-9]+$", label)
+            or not any(ch.isalpha() for ch in label)
+            or re.match(r"^[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}"
+                        r"-[0-9a-fA-F]{12}$", label)
+        )
+        assert is_opaque_label(label) is expected
+
+
+class TestTerm:
+    def test_opacity_is_decided_when_built(self):
+        readable = Term.iri("http://e.org/g#Achievement")
+        assert readable.opaque is False
+        assert Term.iri("http://e.org/g#Q7").opaque is True
+        assert Term.iri("http://e.org/g#").opaque is True  # no label
+        assert Term.iri("urn:x:Achievement").opaque is True  # not HTTP(S)
+        assert Term.literal("Q7").opaque is False and Term.blank("Q7").opaque is False
+
+    def test_replace_recomputes_opacity(self):
+        term = Term.iri("http://e.org/g#Achievement")
+        renamed = dataclasses.replace(term, label="Q7")
+        assert renamed.opaque is True and renamed.lexical == term.lexical
+        assert dataclasses.replace(renamed, label="Game").opaque is False
+
+    def test_opacity_is_neither_compared_nor_shown(self):
+        term = Term.iri("http://e.org/g#Achievement")
+        assert term == Term(TermKind.IRI, "http://e.org/g#Achievement", "Achievement")
+        assert hash(term) == hash(Term(TermKind.IRI, "http://e.org/g#Achievement", "Achievement"))
+        assert "opaque" not in repr(term)
+        with pytest.raises(TypeError):
+            Term(TermKind.IRI, "http://e.org/g#A", "A", True)
 
 
 class TestNTriplesParsing:
@@ -480,6 +523,63 @@ class TestParserMatchesOracle:
                 "ttl", "{ <http://e.org/s> <http://e.org/p> <http://e.org/o> . }\n",
                 "unsupported construct: graph block '{'", id="graph-block",
             ),
+            # Where the whole-statement and whole-pair matches stop and the
+            # token readers read on.
+            pytest.param("nt", "<http://e.org/a><http://e.org/b><http://e.org/c>.", None,
+                         id="no-spaces"),
+            pytest.param("nt", "<http://e.org/s>\n  <http://e.org/p>\n  <http://e.org/o>\n.\n",
+                         None, id="statement-over-lines"),
+            pytest.param("nt", "<http://e.org/s> # c\n<http://e.org/p> <http://e.org/o> .\n",
+                         None, id="comment-between-terms"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"@en\u00df .\n', None,
+                         id="ntriples-tag-then-non-ascii-letter"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/p> "x"@en\u00df .\n', None,
+                         id="turtle-tag-then-non-ascii-letter"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"@en_ .\n',
+                         "expected '.' ending the triple", id="ntriples-tag-then-underscore"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/p> "x"@en_ .\n',
+                         "expected ',', ';' or '.'", id="turtle-tag-then-underscore"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"@en-US .\n', None,
+                         id="ntriples-tag-with-subtag"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/p> "x"@en-US , "y" .\n', None,
+                         id="turtle-tag-with-subtag"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"^^<http://e.org/dt> .\n',
+                         None, id="ntriples-typed"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/p> "x"^^<http://e.org/dt> .\n',
+                         None, id="turtle-typed"),
+            pytest.param("ttl", '@prefix ex: <http://e.org/> .\nex:s ex:p "x"^^ex:dt , "y" .\n',
+                         None, id="turtle-prefixed-datatype"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"^^<http://e.org/d\\u0074> .\n',
+                         None, id="ntriples-escaped-datatype"),
+            pytest.param("nt", '<http://e.org/\\u0041> <http://e.org/p> "a\\tb" .\n', None,
+                         id="ntriples-escapes-in-plain-statement"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/\\u0070> "a\\"b" , <http://e.org/o> .\n',
+                         None, id="turtle-escapes-in-plain-statement"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "a\\qb" .\n',
+                         "bad escape in string: \\q", id="ntriples-bad-escape"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o , und:x .\n",
+                         "undeclared prefix 'und:'", id="turtle-undeclared-prefix-after-comma"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s und:p ex:o .\n",
+                         "undeclared prefix 'und:'", id="turtle-undeclared-verb-prefix"),
+            pytest.param("ttl", "@prefix a: <http://e.org/a#> .\na:s a:b a:o ; a a:C .\n", None,
+                         id="turtle-a-prefix-verb"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ; ;\n ; .\n", None,
+                         id="turtle-semicolon-run"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ; # c\n ex:q ex:r .\n",
+                         None, id="turtle-comment-in-semicolon-run"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p # \"x\"\n [] .\n",
+                         "unsupported construct: anonymous blank node '[]'",
+                         id="turtle-comment-then-unsupported-object"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o , true .\n",
+                         "unsupported construct: boolean literal shorthand", id="turtle-boolean"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p 1 .\n",
+                         "unsupported construct: numeric literal shorthand", id="turtle-number"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o.\n", None,
+                         id="turtle-dot-after-name"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o.x .\n", None,
+                         id="turtle-interior-dot"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ex:q .\n",
+                         "expected ',', ';' or '.', found 'e'", id="turtle-missing-separator"),
         ],
     )
     def test_constructs(self, fmt, text, expected):
@@ -626,6 +726,23 @@ class TestFilterMatchesOracle:
     def test_fixtures(self, name):
         raw = parse_ontology((FIXTURES / name).read_text(encoding="utf-8"), format_for_path(name))
         _assert_same_filtering(raw)
+
+    @pytest.mark.parametrize("name", ["videogame_20.nt", "vicinity_sample.nt", "vicinity_sample.ttl"])
+    def test_load_statement_set_filters_the_parse(self, name):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        fmt = format_for_path(name)
+        loaded = load_statement_set(text, fmt, "src")
+        assert loaded == filter_statements(parse_ontology(text, fmt), "src")
+        assert loaded == oracle_parser.filter_statements(oracle_parser.parse_ontology(text, fmt), "src")
+
+    @pytest.mark.parametrize("fmt", ["nt", "ttl"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_load_statement_set_on_generated_documents(self, fmt, data):
+        text = data.draw(st.one_of(_VALID_DOCUMENTS[fmt], _filter_documents()))
+        loaded = _outcome(lambda t, f: load_statement_set(t, f, "src"), text, fmt)
+        parsed = _outcome(parse_ontology, text, fmt)
+        assert loaded == (filter_statements(parsed, "src") if isinstance(parsed, list) else parsed)
 
     def test_terms_built_outside_a_parse(self):
         """Separately built Terms with one label decide alike, and a
