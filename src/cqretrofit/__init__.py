@@ -68,7 +68,6 @@ from .prompts import (
     PromptTemplate,
     list_templates,
     render_prompt,
-    render_statement,
 )
 
 __version__ = "0.1.0"

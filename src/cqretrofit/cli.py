@@ -53,7 +53,7 @@ class RunConfig:
     """
 
     ontology_paths: list[str] = field(default_factory=list)
-    templates: list[str] = field(default_factory=lambda: ["P1", "P2", "P3"])
+    templates: list[str] = field(default_factory=lambda: [t.id for t in prompts.list_templates()])
     providers: list[gateway.ProviderConfig] = field(
         default_factory=lambda: [gateway.mock_provider()]
     )
@@ -631,10 +631,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--candidates-dir", help="directory with questions_*.csv")
     p_eval.add_argument("--tau", type=float, dest="matcher.similarity_threshold", metavar="TAU",
                         help="similarity threshold")
-    p_eval.add_argument("--backend", choices=[b.value for b in matcher.MatcherBackend],
-                        dest="matcher.backend")
     p_eval.add_argument("--embedding-url", dest="matcher.endpoint_url", metavar="EMBEDDING_URL",
-                        help="http_embedding endpoint")
+                        help="sentence-embedding endpoint (default: offline lexical matching)")
     p_eval.add_argument(
         "--counts-fixture", help="JSON counts file: audit formulas, skip matching"
     )

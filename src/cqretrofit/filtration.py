@@ -121,13 +121,17 @@ class FiltrationConfig:
             self._primitive_res = self._narrative_res = ()
 
 
+class _CheckedPattern(str):
+    """Compiled only by :func:`_compiled`: ``re``'s cache (keyed by type) holds it warning-free."""
+
+
 def _compiled(patterns: Iterable[str]) -> tuple[re.Pattern, ...]:
     """``re.compile`` of each pattern; a warning that one gives (such as
-    ``Possible nested set``) is raised as :class:`re.error`."""
+    ``Possible nested set``) is raised as :class:`re.error`, even for a pattern cached before."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return tuple(map(re.compile, patterns))
+            return tuple(re.compile(_CheckedPattern(p)) for p in patterns)
         except Warning as exc:
             raise re.error(str(exc)) from None
 

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import requests
 
@@ -64,6 +64,10 @@ class RequestTimeoutError(GatewayError):
 
 class MalformedResponseError(GatewayError):
     pass
+
+
+class _ConnectionFailed(GatewayError):
+    """A connection refused, reset or lost before an answer."""
 
 
 class _Abandoned(Exception):
@@ -311,10 +315,8 @@ def _http_complete(
     cfg: ProviderConfig,
     slots: DispatchSlots,
 ) -> tuple[str, bool, int]:
-    headers = {"Content-Type": "application/json"}
     key = os.environ.get(cfg.api_key_env_var())
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+    headers = {"Authorization": f"Bearer {key}"} if key else {}
     started = time.monotonic()
     failure: Optional[GatewayError] = None  # what the last attempt raises
     retry_after: Optional[float] = None
@@ -335,46 +337,57 @@ def _http_complete(
         retry_after = None
         try:
             with slots:
-                resp = requests.post(
-                    request["endpoint"],
-                    json=request["body"],
-                    headers=headers,
-                    timeout=cfg.request_timeout_s,
+                status, resp_headers, body = _post_json(
+                    request["endpoint"], request["body"], headers, cfg.request_timeout_s
                 )
-        except requests.Timeout:
+        except RequestTimeoutError:
             failure = RequestTimeoutError(
                 f"{cfg.provider_id}: request timed out after {cfg.max_retries + 1} attempts"
             )
             continue
-        except requests.ConnectionError as exc:
+        except _ConnectionFailed as exc:
             failure = GatewayError(f"{cfg.provider_id}: connection failed: {exc}")
             continue
-        except requests.RequestException as exc:  # a bad URL, too many redirects, ...
+        except GatewayError as exc:  # a bad URL, too many redirects, ...
             raise GatewayError(f"{cfg.provider_id}: request failed: {exc}") from exc
 
-        if resp.status_code == 200:
-            return _parse_completion(resp, cfg, started)
-        if resp.status_code in (401, 403):
+        if status == 200:
+            return _parse_completion(body, cfg, started)
+        if status in (401, 403):
             raise AuthError(
-                f"{cfg.provider_id}: HTTP {resp.status_code}; check the "
+                f"{cfg.provider_id}: HTTP {status}; check the "
                 f"{cfg.api_key_env_var()} environment variable"
             )
-        if resp.status_code not in _RETRYABLE_STATUS:
-            raise GatewayError(
-                f"{cfg.provider_id}: HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-        if resp.status_code in (429, 503):
-            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-        if resp.status_code == 429:
+        if status not in _RETRYABLE_STATUS:
+            raise GatewayError(f"{cfg.provider_id}: HTTP {status}: {body[:200]}")
+        if status in (429, 503):
+            retry_after = _retry_after_s(resp_headers.get("Retry-After"))
+        if status == 429:
             failure = RateLimitError(
                 f"{cfg.provider_id}: rate limited after {cfg.max_retries + 1} attempts"
             )
         else:
             failure = GatewayError(
-                f"{cfg.provider_id}: HTTP {resp.status_code} persisted after "
+                f"{cfg.provider_id}: HTTP {status} persisted after "
                 f"{cfg.max_retries + 1} attempts"
             )
     raise failure
+
+
+def _post_json(url: str, body: object, headers: dict, timeout: float) -> tuple[int, Mapping, str]:
+    """The package's one HTTP call: POST ``body`` to ``url`` once, as JSON with ``headers``.
+    Returns the answer's status, headers (keys case-insensitive) and body (UTF-8, an
+    undecodable byte replaced). Without an answer it raises, with its cause's message,
+    :class:`RequestTimeoutError`, :class:`_ConnectionFailed` or :class:`GatewayError`."""
+    try:
+        resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+    except requests.Timeout as exc:
+        raise RequestTimeoutError(exc) from exc
+    except requests.ConnectionError as exc:
+        raise _ConnectionFailed(exc) from exc
+    except requests.RequestException as exc:
+        raise GatewayError(exc) from exc
+    return resp.status_code, resp.headers, resp.content.decode("utf-8", "replace")
 
 
 def _retry_after_s(value: Optional[str]) -> Optional[float]:
@@ -397,11 +410,9 @@ def _retry_after_s(value: Optional[str]) -> Optional[float]:
     return min(max(delay, 0.0), _BACKOFF_CAP_S)
 
 
-def _parse_completion(
-    resp: requests.Response, cfg: ProviderConfig, started: float
-) -> tuple[str, bool, int]:
+def _parse_completion(body: str, cfg: ProviderConfig, started: float) -> tuple[str, bool, int]:
     try:
-        data = resp.json()
+        data = json.loads(body)
         choice = data["choices"][0]
         text = choice["message"]["content"]
         finish_reason = choice.get("finish_reason")

@@ -6,11 +6,11 @@ feature-hashed bag-of-tokens vectors (Weinberger et al., "Feature
 Hashing for Large Scale Multitask Learning", ICML 2009). One vectorised
 path, :func:`embed_batch`, tokenises a whole batch with one regex pass
 per text and scales only its occupied cells; :func:`embed` is its
-one-text case. A remote sentence-embedding service can be plugged in
-through the ``http_embedding`` backend (request ``{"texts": [...]}``,
-response ``{"vectors": [[...], ...]}``); a response of another shape,
-or with non-numeric or non-finite values, raises
-:class:`EmbeddingEndpointError`.
+one-text case. A config with an ``endpoint_url`` embeds through that
+sentence-embedding service instead (the ``http_embedding`` backend; request
+``{"texts": [...]}``, response ``{"vectors": [[...], ...]}``); a failed
+request, a non-2xx answer, or a response of another shape or with
+non-numeric or non-finite values raises :class:`EmbeddingEndpointError`.
 
 A candidate is validated when its best similarity against the design
 set reaches the threshold; a design CQ is matched when some candidate
@@ -26,6 +26,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -33,8 +34,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import requests
 
+from . import gateway
 from .filtration import CandidateCQ, normalize_question
 
 DEFAULT_DIMENSION = 512
@@ -77,22 +78,26 @@ class MatcherBackend(str, Enum):
 
 @dataclass
 class MatcherConfig:
-    backend: MatcherBackend = MatcherBackend.LEXICAL_FALLBACK
+    """``endpoint_url=None`` selects the lexical fallback, a URL the ``http_embedding`` backend."""
+
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
     endpoint_url: Optional[str] = None
     dimension: int = DEFAULT_DIMENSION
     request_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        self.backend = MatcherBackend(self.backend)
         if not 0.0 <= self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in [0, 1]")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
-        if self.backend is MatcherBackend.HTTP_EMBEDDING and not self.endpoint_url:
-            raise ValueError("http_embedding backend needs endpoint_url")
+
+    @property
+    def backend(self) -> MatcherBackend:
+        if self.endpoint_url is None:
+            return MatcherBackend.LEXICAL_FALLBACK
+        return MatcherBackend.HTTP_EMBEDDING
 
 
 @dataclass(frozen=True)
@@ -202,15 +207,14 @@ def embed_questions(
 
 
 def _embed_http(texts: Sequence[str], cfg: MatcherConfig) -> np.ndarray:
-    try:
-        resp = requests.post(
-            cfg.endpoint_url,
-            json={"texts": list(texts)},
-            timeout=cfg.request_timeout_s,
+    try:  # one POST, without a credential or a retry
+        status, _, body = gateway._post_json(
+            cfg.endpoint_url, {"texts": list(texts)}, {}, cfg.request_timeout_s
         )
-        resp.raise_for_status()
-        matrix = np.asarray(resp.json()["vectors"])
-    except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+        if not 200 <= status < 300:
+            raise gateway.GatewayError(f"HTTP {status}: {body[:200]}")
+        matrix = np.asarray(json.loads(body)["vectors"])
+    except (gateway.GatewayError, ValueError, KeyError, TypeError) as exc:
         # ValueError: invalid JSON or ragged vectors; TypeError: a body
         # that is not a JSON object.
         raise EmbeddingEndpointError(f"embedding endpoint failed: {exc}")

@@ -245,8 +245,9 @@ _NT_STATEMENT = re.compile(
 # Trivia that a failed match cannot give back in part: a comment runs to
 # the end of its line.
 _TTL_TRIVIA_RE = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
-# A local name that a failed match cannot shorten.
-_PN_LOCAL_RE = r"([A-Za-z0-9_\-%]*(?:\.[A-Za-z0-9_\-%]+)*)(?![A-Za-z0-9_\-%]|\.[A-Za-z0-9_\-%])"
+# A local name. No match shortens it: what may follow one can start inside it
+# only as ``_:`` or ``p:`` with ':' after it, where the object ``:...`` matches.
+_PN_LOCAL_RE = r"([A-Za-z0-9_\-%]*(?:\.[A-Za-z0-9_\-%]+)*)"
 # An object and the trivia after it, then ',' or a run of ';', each with
 # the trivia after it. Nothing after a literal may continue it: not a tag
 # that ``_LANGTAG`` would read on into a non-ASCII letter, nor a suffix

@@ -17,7 +17,6 @@ from typing import Union
 from .ontology import Statement
 
 STATEMENT_SLOT = "<statement>"
-_BRACKETED = "['{}', '{}', '{}']"  # the statement rendering that fills the slot
 
 
 class PromptError(Exception):
@@ -114,24 +113,20 @@ def _labels(statement: Statement) -> tuple[str, str, str]:
     return labels
 
 
-def render_statement(statement: Statement) -> str:
-    """Bracketed label-list rendering, e.g. ``['Hippocamp', 'type',
-    'Solar_System_Satellite']``. Literal objects use their lexical form."""
-    return _BRACKETED.format(*_labels(statement))
-
-
 def render_prompt(
     template: Union[str, PromptTemplate], statement: Statement
 ) -> PromptInstance:
     """Instantiate a template for one statement.
 
-    The statement rendering replaces the slot and is appended once more
-    after the template text, separated by a single space.
+    The statement's bracketed label list, e.g. ``['Hippocamp', 'type',
+    'Solar_System_Satellite']`` (a literal object by its lexical form),
+    replaces the slot and is appended once more after the template text,
+    separated by a single space.
     """
     if isinstance(template, str):
         template = get_template(template)
     labels = _labels(statement)
-    rendered_statement = _BRACKETED.format(*labels)
+    rendered_statement = "['{}', '{}', '{}']".format(*labels)
     rendered = (
         template.body.replace(STATEMENT_SLOT, rendered_statement)
         + " "

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -82,3 +83,14 @@ def chat_payload(text: str, finish_reason: str = "stop") -> dict:
             {"message": {"role": "assistant", "content": text}, "finish_reason": finish_reason}
         ]
     }
+
+
+class FakeResponse:
+    """A ``requests.post`` answer, as far as ``gateway._post_json`` reads
+    it: the status, the headers and the body, JSON of ``payload`` unless
+    ``content`` gives the bytes."""
+
+    def __init__(self, status_code=200, payload=None, headers=None, content=None):
+        self.status_code = status_code
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
+        self.content = json.dumps(payload).encode("utf-8") if content is None else content

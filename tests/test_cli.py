@@ -11,7 +11,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cqretrofit.cli import RunConfig, _build_parser, _config_from_args, load_json, main
-from cqretrofit.filtration import FiltrationConfig, filter_questions, load_pattern_file
+from cqretrofit.filtration import (
+    FiltrationConfig,
+    filter_questions,
+    load_pattern_file,
+    normalize_question,
+)
 from cqretrofit.gateway import generate_records, mock_provider
 from cqretrofit.matcher import load_design_cqs
 from cqretrofit.metrics import load_validation_labels
@@ -443,8 +448,7 @@ class TestConfig:
             ({"filtration": {"strictness": "loud"}}, "filtration: 'loud'"),
             ({"matcher": {"dimension": 0}}, "matcher: dimension must be >= 1"),
             (
-                {"matcher": {"backend": "http_embedding", "endpoint_url": "http://localhost:1/e",
-                             "request_timeout_s": 0}},
+                {"matcher": {"endpoint_url": "http://localhost:1/e", "request_timeout_s": 0}},
                 "run.json: matcher: request_timeout_s must be positive",
             ),
             (
@@ -470,6 +474,14 @@ class TestConfig:
         assert err.startswith("error: ")
         assert key in err
         assert "Traceback" not in err
+
+    def test_matcher_backend_key_is_unknown(self, tmp_path, capsys):
+        """The endpoint URL alone selects the matcher backend."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"matcher": {"backend": "http_embedding"}}))
+        argv = ["--config", cfg_path, "evaluate", "--design", FIXTURES / "design_cqs.txt"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}: unknown key matcher.backend\n"
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_parallelism_flag_below_one_is_an_error(self, tmp_path, capsys, value):
@@ -646,6 +658,35 @@ class TestEvaluate:
             "No. Validated CQs,Precision,Recall,F1"
         )
         assert len(summary) == 2
+
+    def test_embedding_url_selects_the_endpoint(self, tmp_path, http_server):
+        out = self._generate(tmp_path)
+        sent = []
+
+        def handler(path, body, headers):
+            sent.append(body["texts"])
+            return 200, {"vectors": [[1.0, len(t)] for t in body["texts"]]}
+
+        server = http_server(handler)
+        design = FIXTURES / "design_cqs.txt"
+        argv = ["--output-dir", out, "evaluate", "--design", design, "--embedding-url", server.url]
+        assert run(argv) == 0
+        assert json.loads((out / "report.json").read_text())["backend"] == "http_embedding"
+        # The design CQs, then the one cell's kept questions.
+        assert len(sent) == 2
+        assert sent[0] == [normalize_question(q) for q in load_design_cqs(design).questions]
+        cell = json.loads((out / "report.json").read_text())["cells"][0]
+        assert len(sent[1]) == cell["n_candidates"]
+
+    def test_backend_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            run(["--output-dir", tmp_path, "evaluate", "--backend", "http_embedding"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["evaluate", "--help"])
+        assert "--backend" not in capsys.readouterr().out
 
     def test_candidates_equal_design_gives_perfect_row(self, tmp_path):
         out = tmp_path / "out"
@@ -1098,9 +1139,7 @@ class TestHelp:
             (["filter"], ["--strictness {off,lenient,strict}", "--dedup-threshold DEDUP_THRESHOLD",
                           "--primitive-lexicon PRIMITIVE_LEXICON",
                           "--narrative-patterns NARRATIVE_PATTERNS", "[--global-dedup]"]),
-            (["evaluate"], ["--design DESIGN", "--tau TAU",
-                            "--backend {lexical_fallback,http_embedding}",
-                            "--embedding-url EMBEDDING_URL"]),
+            (["evaluate"], ["--design DESIGN", "--tau TAU", "--embedding-url EMBEDDING_URL"]),
         ],
     )
     def test_help_shows_flag_names(self, capsys, monkeypatch, command, shown):

@@ -110,6 +110,29 @@ class TestPatternCompileWarnings:
         with pytest.raises(re.error, match="^Possible nested set at position 1$"):
             filtration.load_pattern_file(path)
 
+    @staticmethod
+    def _compile_without_warning(pattern):
+        """What another caller may have done before: ``re`` caches the
+        pattern and does not repeat its warning for it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            re.compile(pattern)
+
+    @pytest.mark.parametrize("field", ["primitive_patterns", "narrative_patterns"])
+    def test_config_raises_after_the_process_compiled_the_pattern(self, field):
+        self._compile_without_warning("[[c]")
+        for _ in range(2):
+            with pytest.raises(re.error, match="^Possible nested set at position 1$"):
+                FiltrationConfig(**{field: ("what", "[[c]")})
+
+    def test_pattern_file_raises_after_the_process_compiled_the_pattern(self, tmp_path):
+        self._compile_without_warning("[[d]")
+        path = tmp_path / "p.txt"
+        path.write_text("what\n[[d]\n")
+        for _ in range(2):
+            with pytest.raises(re.error, match="^Possible nested set at position 1$"):
+                filtration.load_pattern_file(path)
+
 
 class TestNormalizeQuestion:
     def test_whitespace_and_case(self):

@@ -37,7 +37,7 @@ from cqretrofit.gateway import (
 from cqretrofit.ontology import filter_statements, parse_ontology
 from cqretrofit.prompts import render_prompt
 
-from conftest import FIXTURES, chat_payload
+from conftest import FIXTURES, FakeResponse, chat_payload
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +290,16 @@ class TestHttpProvider:
         assert "temperature" not in seen
         assert seen["auth"] == "Bearer sekrit"
 
+    def test_posts_json_and_no_credential_when_its_variable_is_unset(self, http_server, prompt):
+        seen = []
+
+        def handler(path, body, headers):
+            seen.append((path, headers["Content-Type"], "Authorization" in headers))
+            return 200, chat_payload("ok?")
+
+        complete(prompt, self._cfg(http_server(handler).url))
+        assert seen == [("/v1/chat/completions", "application/json", False)]
+
     def test_temperature_forwarded_when_set(self, http_server, prompt):
         seen = {}
 
@@ -433,7 +443,7 @@ class TestHttpProvider:
 
     def test_connection_error_is_retried(self, monkeypatch, prompt):
         calls = self._post_raising(
-            monkeypatch, requests.ConnectionError("reset"), _FakeResponse(200, chat_payload("q?"))
+            monkeypatch, requests.ConnectionError("reset"), FakeResponse(200, chat_payload("q?"))
         )
         assert complete(prompt, self._cfg("http://127.0.0.1:9/v1")).text == "q?"
         assert len(calls) == 2
@@ -481,17 +491,6 @@ class TestHttpProvider:
         assert server.request_count == 1
 
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-        self.text = ""
-
-    def json(self):
-        return self._payload
-
-
 def _http_date(offset_s):
     when = datetime.now(timezone.utc) + timedelta(seconds=offset_s)
     return email.utils.format_datetime(when, usegmt=True)
@@ -501,8 +500,8 @@ class TestRetryAfter:
     """429/503 responses carrying ``Retry-After`` set the retry delay."""
 
     def _complete(self, monkeypatch, prompt, statuses_and_headers, **kw):
-        responses = [_FakeResponse(s, headers=h) for s, h in statuses_and_headers]
-        responses.append(_FakeResponse(200, chat_payload("q?")))
+        responses = [FakeResponse(s, headers=h) for s, h in statuses_and_headers]
+        responses.append(FakeResponse(200, chat_payload("q?")))
         slept = []
         monkeypatch.setattr(gateway.requests, "post", lambda *a, **k: responses.pop(0))
         slots = gateway.DispatchSlots(1)

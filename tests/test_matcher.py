@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqretrofit import cli, matcher
+from cqretrofit import cli, gateway, matcher
 from cqretrofit.filtration import normalize_question
 from cqretrofit.matcher import (
     BestMatches,
@@ -27,6 +28,8 @@ from cqretrofit.matcher import (
     match_candidates,
     similarity,
 )
+
+from conftest import FakeResponse
 
 
 # --- independent oracle ---------------------------------------------------
@@ -494,26 +497,9 @@ class TestDesignCQLoading:
             DesignCQSet(())
 
 
-class _FakeEmbeddingResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
-
-
 class TestHttpEmbeddingBackend:
     def _cfg(self, url, tau=0.7):
-        return MatcherConfig(
-            backend=MatcherBackend.HTTP_EMBEDDING,
-            similarity_threshold=tau,
-            endpoint_url=url,
-        )
+        return MatcherConfig(similarity_threshold=tau, endpoint_url=url)
 
     def test_endpoint_vectors_are_normalized(self, http_server):
         def handler(path, body, headers):
@@ -559,6 +545,29 @@ class TestHttpEmbeddingBackend:
         with pytest.raises(EmbeddingEndpointError):
             embed_batch(["a?"], self._cfg(server.url))
 
+    def test_non_2xx_answer_is_sent_once_without_credential(self, http_server, monkeypatch):
+        monkeypatch.setenv("RETROFIT_API_KEY_MOCK", "secret")
+        sent = []
+
+        def handler(path, body, headers):
+            sent.append(headers)
+            return 503, {"error": "busy"}
+
+        server = http_server(handler)
+        with pytest.raises(EmbeddingEndpointError) as info:
+            embed_batch(["a?"], self._cfg(server.url))
+        assert str(info.value) == 'embedding endpoint failed: HTTP 503: {"error": "busy"}'
+        assert len(sent) == 1
+        assert "Authorization" not in sent[0]
+
+    def test_connection_failure_is_named(self, monkeypatch):
+        def post(*args, **kwargs):
+            raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(gateway.requests, "post", post)
+        with pytest.raises(EmbeddingEndpointError, match="^embedding endpoint failed: refused$"):
+            embed_batch(["a?"], self._cfg("http://127.0.0.1:9/embed"))
+
     def test_bad_shape_rejected(self, http_server):
         server = http_server(lambda path, body, headers: (200, {"vectors": [[1.0]]}))
         with pytest.raises(EmbeddingEndpointError):
@@ -584,27 +593,26 @@ class TestHttpEmbeddingBackend:
     )
     def test_malformed_vectors_raise_typed_error(self, monkeypatch, payload):
         monkeypatch.setattr(
-            matcher.requests, "post", lambda *a, **k: _FakeEmbeddingResponse(payload)
+            gateway.requests, "post", lambda *a, **k: FakeResponse(200, payload)
         )
         with pytest.raises(EmbeddingEndpointError, match="embedding endpoint"):
             embed_batch(["a?", "b?"], self._cfg("http://127.0.0.1:9/embed"))
 
     def test_invalid_json_raises_typed_error(self, monkeypatch):
         monkeypatch.setattr(
-            matcher.requests, "post",
-            lambda *a, **k: _FakeEmbeddingResponse(ValueError("Expecting value")),
+            gateway.requests, "post", lambda *a, **k: FakeResponse(content=b"not JSON"),
         )
         with pytest.raises(EmbeddingEndpointError, match="Expecting value"):
             embed_batch(["a?"], self._cfg("http://127.0.0.1:9/embed"))
 
     def test_malformed_vectors_exit_1_without_traceback(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(
-            matcher.requests, "post", lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[{}]]})
+            gateway.requests, "post", lambda *a, **k: FakeResponse(200, {"vectors": [[{}]]})
         )
         design = tmp_path / "design.txt"
         design.write_text("What is X?\n")
         argv = ["--output-dir", str(tmp_path), "evaluate", "--design", str(design),
-                "--backend", "http_embedding", "--embedding-url", "http://127.0.0.1:9/embed",
+                "--embedding-url", "http://127.0.0.1:9/embed",
                 "--candidates-dir", str(tmp_path)]
         (tmp_path / "questions_P1_m.csv").write_text("Questions\nWhat is Y?\n")
         (tmp_path / "questions_P1_m.json").write_text('{"n_questions": 1, "n_triples": 1}')
@@ -615,8 +623,8 @@ class TestHttpEmbeddingBackend:
 
     def test_integer_vectors_are_accepted(self, monkeypatch):
         monkeypatch.setattr(
-            matcher.requests, "post",
-            lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[3, 4], [0, 2]]}),
+            gateway.requests, "post",
+            lambda *a, **k: FakeResponse(200, {"vectors": [[3, 4], [0, 2]]}),
         )
         rows = embed_batch(["a?", "b?"], self._cfg("http://127.0.0.1:9/embed"))
         assert rows.dtype == np.float64
@@ -624,14 +632,16 @@ class TestHttpEmbeddingBackend:
 
     def test_http_backend_returns_zero_vectors_without_raising(self, monkeypatch):
         monkeypatch.setattr(
-            matcher.requests, "post",
-            lambda *a, **k: _FakeEmbeddingResponse({"vectors": [[0.0, 0.0]]}),
+            gateway.requests, "post",
+            lambda *a, **k: FakeResponse(200, {"vectors": [[0.0, 0.0]]}),
         )
         vec = embed("the of?", self._cfg("http://127.0.0.1:9/embed"))
         assert np.array_equal(vec, [0.0, 0.0])
 
-    def test_endpoint_required(self):
-        with pytest.raises(ValueError):
+    def test_endpoint_url_selects_backend(self):
+        assert MatcherConfig().backend is MatcherBackend.LEXICAL_FALLBACK
+        assert self._cfg("http://127.0.0.1:9/embed").backend is MatcherBackend.HTTP_EMBEDDING
+        with pytest.raises(TypeError):
             MatcherConfig(backend=MatcherBackend.HTTP_EMBEDDING)
 
 

@@ -580,6 +580,26 @@ class TestParserMatchesOracle:
                          id="turtle-interior-dot"),
             pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o ex:q .\n",
                          "expected ',', ';' or '.', found 'e'", id="turtle-missing-separator"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"@ .\n',
+                         "bad language tag", id="ntriples-empty-tag"),
+            pytest.param("nt", '<http://e.org/s> <http://e.org/p> "x"@1en .\n',
+                         "bad language tag", id="ntriples-tag-starting-with-digit"),
+            pytest.param("ttl", '<http://e.org/s> <http://e.org/p> "x"@-en .\n',
+                         "bad language tag", id="turtle-tag-starting-with-hyphen"),
+            # A local name ends where the token reader ends it, even where a
+            # shorter name would leave a blank node or prefixed name behind it.
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\n@prefix : <http://e.org/d#> .\n"
+                         "ex:s ex:p_:b .\n", None, id="turtle-verb-then-colon-after-underscore"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\n@prefix : <http://e.org/d#> .\n"
+                         "@prefix a: <http://e.org/a#> .\nex:s ex:pa:b ; ex:q.a:b .\n", None,
+                         id="turtle-names-then-colon-after-a-prefix"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p.a%41:b .\n",
+                         "undeclared prefix ':'", id="turtle-verb-then-undeclared-colon"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\nex:s ex:p ex:o_:b .\n",
+                         "expected ',', ';' or '.', found ':'", id="turtle-object-then-colon"),
+            pytest.param("ttl", "@prefix ex: <http://e.org/> .\n"
+                         "ex:s ex:p ex:o.-x.\nex:s ex:p ex:o..x .\n",
+                         "expected subject, found '.'", id="turtle-object-dots"),
         ],
     )
     def test_constructs(self, fmt, text, expected):

@@ -10,7 +10,6 @@ from cqretrofit.prompts import (
     list_templates,
     load_template_file,
     render_prompt,
-    render_statement,
 )
 
 
@@ -22,12 +21,21 @@ def _statement(s, p, o, ordinal=0):
 
 
 MULTIPLAYER = _statement("Multiplayer", "subClassOf", "Achievement")
+_SLOT_ONLY = PromptTemplate("slot", "<statement>")
+
+
+def _bracketed(statement):
+    """The statement's rendering, read back from a prompt holding only the slot."""
+    rendered = render_prompt(_SLOT_ONLY, statement).rendered
+    first, second = rendered[: len(rendered) // 2], rendered[len(rendered) // 2 + 1:]
+    assert rendered == f"{first} {second}" and first == second
+    return first
 
 
 class TestRenderStatement:
     def test_bracketed_form(self):
         assert (
-            render_statement(MULTIPLAYER)
+            _bracketed(MULTIPLAYER)
             == "['Multiplayer', 'subClassOf', 'Achievement']"
         )
 
@@ -38,11 +46,11 @@ class TestRenderStatement:
             Term.iri("http://ex.org/solar/Solar_System_Satellite"),
             0,
         )
-        assert render_statement(st) == "['Hippocamp', 'type', 'Solar_System_Satellite']"
+        assert _bracketed(st) == "['Hippocamp', 'type', 'Solar_System_Satellite']"
 
     def test_self_loop(self):
         st = _statement("A", "p", "A")
-        assert render_statement(st) == "['A', 'p', 'A']"
+        assert _bracketed(st) == "['A', 'p', 'A']"
 
     def test_literal_object_uses_lexical_form(self):
         st = Statement(
@@ -51,7 +59,7 @@ class TestRenderStatement:
             Term.literal("username"),
             0,
         )
-        assert render_statement(st) == "['Player', 'hasUsername', 'username']"
+        assert _bracketed(st) == "['Player', 'hasUsername', 'username']"
 
     def test_missing_label_error(self):
         st = Statement(
@@ -61,7 +69,7 @@ class TestRenderStatement:
             0,
         )
         with pytest.raises(MissingLabelError):
-            render_statement(st)
+            _bracketed(st)
 
 
 class TestTemplates:
